@@ -49,11 +49,9 @@ def _load_diagram(path: str, limits: Limits) -> dg.PFerrerPartition:
     return dg.validate(tree, limits)
 
 
-def _series_block(part: dg.PFerrerPartition) -> dict:
+def _series_block(part: dg.PFerrerPartition, n: int) -> dict:
     profile = dg.diagonal_profile(part)
-    c, delta = profile.df, profile.delta
-    sigma = tuple(profile.count(k) for k in range(c + 1, delta + 1))
-    n = len(il.ferrer_ideal(part).ambient)
+    c, sigma = profile.df, profile.sigma
     series = sr.hilbert_series_linear(c, part.depth, sigma, n - c)
     raw_numerator = sr.h_poly(c, part.depth) - sr.deviation_poly(sigma).shift(part.depth)
     return {
@@ -89,7 +87,7 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
         "profile": {"s": list(profile.counts), "df": profile.df, "delta": profile.delta},
         "summary": {**summary.to_json(), "reg_ideal": reg_ideal, "reg_quotient": reg_quotient},
         "betti": table.to_json(),
-        **_series_block(part),
+        **_series_block(part, summary.n),
         "generators": [str(g) for g in ideal.generators],
         "minimal_primes": _sorted_primes(il.minimal_primes(ideal, limits)),
     }
@@ -135,11 +133,7 @@ def _render_text(doc: dict) -> str:
 
 
 def cmd_report(args, limits: Limits) -> int:
-    try:
-        part = _load_diagram(args.path, limits)
-    except ValidationError as err:
-        _emit({"error": type(err).__name__, "message": str(err), "path": err.path})
-        return EXIT_VALIDATION
+    part = _load_diagram(args.path, limits)
     doc = _report_document(part, limits, args.certificate)
     if args.text:
         print(_render_text(doc))
@@ -163,9 +157,8 @@ def _check_betti(part, limits) -> dict:
 def _check_series(part, limits, max_degree: int) -> dict:
     profile = dg.diagonal_profile(part)
     ideal = il.ferrer_ideal(part)
-    sigma = tuple(profile.count(k) for k in range(profile.df + 1, profile.delta + 1))
     formula = sr.hilbert_series_linear(
-        profile.df, part.depth, sigma, len(ideal.ambient) - profile.df
+        profile.df, part.depth, profile.sigma, len(ideal.ambient) - profile.df
     )
     from_monomials = sr.hilbert_series_monomial(ideal, limits)
     truncated = oc.hilbert_function_truncated(ideal, max_degree, limits)
@@ -231,60 +224,39 @@ def _check_height_projdim(part, limits) -> dict:
 
 
 def cmd_verify(args, limits: Limits) -> int:
-    try:
-        part = _load_diagram(args.path, limits)
-    except ValidationError as err:
-        _emit({"error": type(err).__name__, "message": str(err), "path": err.path})
-        return EXIT_VALIDATION
-    try:
-        checks = [
-            _check_betti(part, limits),
-            _check_series(part, limits, args.max_degree),
-            _check_decomposition(part, limits, args.seed, args.max_degree),
-            _check_certificate(part),
-            _check_height_projdim(part, limits),
-        ]
-    except (SizeLimitExceeded, TooManyGenerators) as err:
-        _emit({"error": type(err).__name__, "message": str(err)})
-        return EXIT_SIZE_LIMIT
+    part = _load_diagram(args.path, limits)
+    checks = [
+        _check_betti(part, limits),
+        _check_series(part, limits, args.max_degree),
+        _check_decomposition(part, limits, args.seed, args.max_degree),
+        _check_certificate(part),
+        _check_height_projdim(part, limits),
+    ]
     ok = all(check["ok"] for check in checks)
     _emit({"input": part.to_tree(), "seed": args.seed, "checks": checks, "ok": ok})
     return 0 if ok else EXIT_MISMATCH
 
 
 def cmd_series(args, limits: Limits) -> int:
-    try:
-        part = _load_diagram(args.path, limits)
-    except ValidationError as err:
-        _emit({"error": type(err).__name__, "message": str(err), "path": err.path})
-        return EXIT_VALIDATION
+    part = _load_diagram(args.path, limits)
     profile = dg.diagonal_profile(part)
     doc = {
         "input": part.to_tree(),
         "c": profile.df,
         "p": part.depth,
-        **_series_block(part),
+        **_series_block(part, iv.homological_summary(part).n),
     }
     _emit(doc)
     return 0
 
 
 def cmd_dual(args, limits: Limits) -> int:
-    try:
-        part = _load_diagram(args.path, limits)
-    except ValidationError as err:
-        _emit({"error": type(err).__name__, "message": str(err), "path": err.path})
-        return EXIT_VALIDATION
+    part = _load_diagram(args.path, limits)
     profile = dg.diagonal_profile(part)
     ideal = il.ferrer_ideal(part)
-    try:
-        dual = il.alexander_dual(ideal, limits)
-    except SizeLimitExceeded as err:
-        _emit({"error": type(err).__name__, "message": str(err)})
-        return EXIT_SIZE_LIMIT
-    sigma = tuple(profile.count(k) for k in range(profile.df + 1, profile.delta + 1))
+    dual = il.alexander_dual(ideal, limits)
     primal, dual_series = sr.dual_series(
-        profile.df, part.depth, sigma, len(ideal.ambient)
+        profile.df, part.depth, profile.sigma, len(ideal.ambient)
     )
     _emit(
         {
@@ -320,9 +292,6 @@ def cmd_macaulay(args, limits: Limits) -> int:
     except NotMVector as err:
         _emit({"error": "NotMVector", "message": str(err)})
         return EXIT_NOT_M_VECTOR
-    except (SizeLimitExceeded, TooManyGenerators) as err:
-        _emit({"error": type(err).__name__, "message": str(err)})
-        return EXIT_SIZE_LIMIT
     _emit(
         {
             "h": list(h),
@@ -422,11 +391,14 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.handler(args, limits)
-    except SizeLimitExceeded as err:
-        _emit({"error": "SizeLimitExceeded", "message": str(err)})
+    except (SizeLimitExceeded, TooManyGenerators) as err:
+        _emit({"error": type(err).__name__, "message": str(err)})
         return EXIT_SIZE_LIMIT
     except json.JSONDecodeError as err:
         _emit({"error": "BadJSON", "message": str(err)})
+        return EXIT_VALIDATION
+    except ValidationError as err:
+        _emit({"error": type(err).__name__, "message": str(err), "path": err.path})
         return EXIT_VALIDATION
     except FerrerError as err:
         _emit({"error": type(err).__name__, "message": str(err)})

@@ -179,6 +179,11 @@ class DiagonalProfile:
             k += 1
         return k
 
+    @property
+    def sigma(self) -> tuple[int, ...]:
+        """Diagonal deviations: the counts of diagonals df+1 .. delta."""
+        return self.counts[self.df:]
+
     def count(self, k: int) -> int:
         if 1 <= k <= len(self.counts):
             return self.counts[k - 1]

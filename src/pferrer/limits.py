@@ -16,7 +16,6 @@ class Limits:
     oracle_max_variables: int = 16
     oracle_max_generators: int = 60
     hitting_set_max_variables: int = 30
-    inclusion_exclusion_max_generators: int = 20
     series_recursion_max_generators: int = 512
     truncation_max_degree: int = 20
 
@@ -30,10 +29,15 @@ class Limits:
         if not raw:
             return cls()
         data = json.loads(raw)
+        if not isinstance(data, dict):
+            raise ValueError(f"{ENV_VAR} must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown limit names in {ENV_VAR}: {sorted(unknown)}")
+        for name, value in data.items():
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{ENV_VAR}: {name} must be a non-negative integer")
         return cls(**data)
 
 

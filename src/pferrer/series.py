@@ -233,41 +233,18 @@ def hilbert_series_linear(c: int, p: int, sigma, d: int) -> RationalSeries:
 def hilbert_series_monomial(
     ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS
 ) -> RationalSeries:
-    """Series of S/I computed from the generators alone.
-
-    Uses inclusion-exclusion over generator subsets when the generating set is
-    small, and an exact colon-splitting recursion otherwise.
-    """
+    """Series of S/I computed from the generators alone, by colon splitting."""
     gens = ideal.generators
     variables = ideal.ambient
-    exp_vectors = tuple(
+    if len(gens) > limits.series_recursion_max_generators:
+        raise TooManyGenerators(
+            f"{len(gens)} generators exceed limit {limits.series_recursion_max_generators}"
+        )
+    exp_vectors = frozenset(
         tuple(g.exponent(v) for v in variables) for g in gens
     )
-    if len(gens) <= limits.inclusion_exclusion_max_generators:
-        num = _numerator_inclusion_exclusion(exp_vectors)
-    elif len(gens) <= limits.series_recursion_max_generators:
-        num = _numerator_splitting(frozenset(exp_vectors))
-    else:
-        raise TooManyGenerators(
-            f"{len(gens)} generators exceed both series strategies"
-        )
+    num = _numerator_splitting(exp_vectors)
     return RationalSeries(IntPolynomial.of(num.get(k, 0) for k in range(max(num) + 1)), len(variables))
-
-
-def _numerator_inclusion_exclusion(exp_vectors) -> dict[int, int]:
-    acc: dict[int, int] = {}
-
-    def rec(i: int, current: tuple[int, ...], sign: int):
-        if i == len(exp_vectors):
-            d = sum(current)
-            acc[d] = acc.get(d, 0) + sign
-            return
-        rec(i + 1, current, sign)
-        rec(i + 1, tuple(map(max, current, exp_vectors[i])), -sign)
-
-    width = len(exp_vectors[0]) if exp_vectors else 0
-    rec(0, (0,) * width, 1)
-    return acc
 
 
 @lru_cache(maxsize=100_000)

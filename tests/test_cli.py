@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from helpers import FIXTURES
 from pferrer import cli
 
@@ -52,8 +54,9 @@ def test_report_certificate_flag(capsys):
     assert doc["certificate"]["witnesses"][0]["witness_monomial"] == "x2_1*x1_1"
 
 
-def test_report_validation_error_exit_2(capsys, tmp_path):
-    code, out = run_cli(capsys, "report", write_diagram(tmp_path, [[1], [2]]))
+@pytest.mark.parametrize("command", ["report", "verify", "series", "dual"])
+def test_report_validation_error_exit_2(capsys, tmp_path, command):
+    code, out = run_cli(capsys, command, write_diagram(tmp_path, [[1], [2]]))
     assert code == 2
     doc = json.loads(out)
     assert doc["error"] == "NotDecreasing"
@@ -183,8 +186,20 @@ def test_limits_env_override(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["error"] == "SizeLimitExceeded"
 
 
-def test_limits_env_rejects_unknown_keys(capsys, monkeypatch):
-    monkeypatch.setenv("FERRER_LIMITS", json.dumps({"nope": 1}))
+@pytest.mark.parametrize(
+    "raw",
+    [
+        '{"nope": 1}',
+        '{"inclusion_exclusion_max_generators": 20}',
+        '{"max_boxes": "3"}',
+        '{"max_boxes": true}',
+        '{"max_boxes": -1}',
+        "[1]",
+    ],
+    ids=["unknown", "removed", "string", "bool", "negative", "not-object"],
+)
+def test_limits_env_rejects_unknown_keys(capsys, monkeypatch, raw):
+    monkeypatch.setenv("FERRER_LIMITS", raw)
     code, out = run_cli(capsys, "report", str(FIXTURES / "staircase_22.json"))
     assert code == 2
     assert json.loads(out)["error"] == "BadLimits"

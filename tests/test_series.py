@@ -109,26 +109,22 @@ def test_hilbert_series_monomial_matches_formula_on_example_4322():
     assert sr.hilbert_series_monomial(ideal) == sr.hilbert_series_linear(3, 3, (9, 2), 9)
 
 
-def test_hilbert_series_monomial_strategies_agree():
+def test_hilbert_series_monomial_matches_formula_random():
     rng = random.Random(47)
-    force_recursion = Limits(inclusion_exclusion_max_generators=0)
     for _ in range(12):
         part = random_partition(rng, rng.choice([1, 2, 3]), max_children=3, max_leaf=3)
+        profile = dg.diagonal_profile(part)
         ideal = il.ferrer_ideal(part)
-        assert sr.hilbert_series_monomial(ideal) == sr.hilbert_series_monomial(
-            ideal, force_recursion
+        formula = sr.hilbert_series_linear(
+            profile.df, part.depth, profile.sigma, len(ideal.ambient) - profile.df
         )
+        assert sr.hilbert_series_monomial(ideal) == formula
 
 
 def test_hilbert_series_monomial_generator_limit():
     ideal = il.ferrer_ideal(dg.validate([2, 2]))
     with pytest.raises(TooManyGenerators):
-        sr.hilbert_series_monomial(
-            ideal,
-            Limits(
-                inclusion_exclusion_max_generators=0, series_recursion_max_generators=0
-            ),
-        )
+        sr.hilbert_series_monomial(ideal, Limits(series_recursion_max_generators=2))
 
 
 def test_series_taylor_matches_truncated_counts():

@@ -3,13 +3,15 @@
 Subcommands: report, verify, series, dual, macaulay, pure.  All output is
 JSON (report also has --text); identical inputs and flags produce identical
 bytes.  Exit codes: 2 parse/validation, 3 verification mismatch, 4 size
-limit, 5 not an M-vector, 6 infeasible integrality.
+limit, 5 not an M-vector, 6 infeasible integrality, 141 stdout closed by its
+reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -20,6 +22,7 @@ from . import macaulay as mc
 from . import oracle as oc
 from . import series as sr
 from .errors import (
+    BadJSON,
     FerrerError,
     NotMVector,
     SizeLimitExceeded,
@@ -33,6 +36,7 @@ EXIT_MISMATCH = 3
 EXIT_SIZE_LIMIT = 4
 EXIT_NOT_M_VECTOR = 5
 EXIT_INFEASIBLE = 6
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 def _emit(document: dict) -> None:
@@ -45,7 +49,12 @@ def _load_diagram(path: str, limits: Limits) -> dg.PFerrerPartition:
     else:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read()
-    tree = json.loads(raw)
+    try:
+        tree = json.loads(raw)
+    except json.JSONDecodeError as err:
+        raise BadJSON(str(err)) from None
+    except RecursionError:
+        raise BadJSON("JSON nested too deeply to parse") from None
     return dg.validate(tree, limits)
 
 
@@ -385,6 +394,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at the null device so that the
+        # interpreter's final flush of what is still buffered cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        message = "stdout was closed before the output was written"
+        print(json.dumps({"error": "BrokenPipe", "message": message}), file=sys.stderr)
+        return EXIT_BROKEN_PIPE
+
+
+def _dispatch(args) -> int:
+    try:
         limits = Limits.from_env()
     except (ValueError, json.JSONDecodeError) as err:
         _emit({"error": "BadLimits", "message": str(err)})
@@ -394,9 +419,6 @@ def main(argv=None) -> int:
     except (SizeLimitExceeded, TooManyGenerators) as err:
         _emit({"error": type(err).__name__, "message": str(err)})
         return EXIT_SIZE_LIMIT
-    except json.JSONDecodeError as err:
-        _emit({"error": "BadJSON", "message": str(err)})
-        return EXIT_VALIDATION
     except ValidationError as err:
         _emit({"error": type(err).__name__, "message": str(err), "path": err.path})
         return EXIT_VALIDATION

@@ -65,16 +65,30 @@ class PFerrerPartition:
 def validate(tree, limits: Limits = DEFAULT_LIMITS) -> PFerrerPartition:
     """Check a raw nested integer tree and wrap it; never reorders the input.
 
-    Errors carry the JSON-path of the offending node, e.g. "$[1][0]".
+    Errors carry the JSON-path of the offending node, e.g. "$[1][0]".  The
+    nesting depth is checked before anything recurses over the tree.
     """
+    depth = _nesting_depth(tree)
+    if depth > limits.max_depth:
+        raise SizeLimitExceeded(f"depth {depth} exceeds limit {limits.max_depth}")
     part = _build(tree, "$")
     _check_decreasing(part, "$")
-    if part.depth > limits.max_depth:
-        raise SizeLimitExceeded(f"depth {part.depth} exceeds limit {limits.max_depth}")
     count = box_count(part)
     if count > limits.max_boxes:
         raise SizeLimitExceeded(f"{count} boxes exceed limit {limits.max_boxes}")
     return part
+
+
+def _nesting_depth(tree) -> int:
+    """Deepest node level of a raw tree (a bare leaf is 1), found without recursion."""
+    deepest = 0
+    stack = [(tree, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if isinstance(node, (list, tuple)):
+            stack.extend((sub, level + 1) for sub in node)
+    return deepest
 
 
 def _build(tree, path: str) -> PFerrerPartition:
@@ -130,14 +144,14 @@ def compare(a: PFerrerPartition, b: PFerrerPartition) -> str:
     return INCOMPARABLE
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def box_count(part: PFerrerPartition) -> int:
     if part.is_leaf:
         return part.value
     return sum(box_count(child) for child in part.children)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def boxes(part: PFerrerPartition) -> frozenset[Box]:
     """The finite downward-closed subset of (N*)^p encoded by the partition."""
     if part.is_leaf:

@@ -25,6 +25,10 @@ class NonPositiveLeaf(ValidationError):
     pass
 
 
+class BadJSON(FerrerError):
+    """The diagram input is not JSON, or is nested too deeply to parse."""
+
+
 class DepthMismatch(FerrerError):
     pass
 

@@ -126,8 +126,15 @@ class MonomialIdeal:
 
 
 def ferrer_ideal(part: PFerrerPartition) -> MonomialIdeal:
-    """One squarefree degree-p generator per box of the diagram."""
-    return MonomialIdeal.make(box_monomial(b) for b in boxes(part))
+    """One squarefree degree-p generator per box of the diagram.
+
+    Distinct boxes give distinct squarefree monomials of one degree, which
+    already form an antichain, so ``MonomialIdeal.make``'s minimalization is
+    skipped and only the canonical sorting is done.
+    """
+    gens = sorted((box_monomial(b) for b in boxes(part)), key=monomial_key)
+    support = {v for g in gens for v, _ in g.factors}
+    return MonomialIdeal(tuple(gens), tuple(sorted(support, key=variable_key)))
 
 
 class IntersectionComponent(NamedTuple):

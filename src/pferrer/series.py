@@ -233,45 +233,110 @@ def hilbert_series_linear(c: int, p: int, sigma, d: int) -> RationalSeries:
 def hilbert_series_monomial(
     ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS
 ) -> RationalSeries:
-    """Series of S/I computed from the generators alone, by colon splitting."""
+    """Series of S/I computed from the generators alone.
+
+    Each generator becomes an int bitmask.  A generator that is not squarefree
+    is polarized first: a variable whose largest exponent is e owns a block of
+    e bits, and x^a sets the lowest a bits of its block.  Polarization keeps
+    the numerator over (1-t)^n (the K-polynomial), so the denominator exponent
+    stays the number of ambient variables.  The numerator comes from pivot
+    splitting on the most frequent variable (``_numerator_splitting``).
+    """
     gens = ideal.generators
-    variables = ideal.ambient
     if len(gens) > limits.series_recursion_max_generators:
         raise TooManyGenerators(
             f"{len(gens)} generators exceed limit {limits.series_recursion_max_generators}"
         )
-    exp_vectors = frozenset(
-        tuple(g.exponent(v) for v in variables) for g in gens
+    width: dict = {}
+    for g in gens:
+        for v, e in g.factors:
+            if e > width.get(v, 0):
+                width[v] = e
+    offset, bit = {}, 0
+    for v in ideal.ambient:
+        offset[v] = bit
+        bit += width.get(v, 0)
+    masks = frozenset(
+        sum(((1 << e) - 1) << offset[v] for v, e in g.factors) for g in gens
     )
-    num = _numerator_splitting(exp_vectors)
-    return RationalSeries(IntPolynomial.of(num.get(k, 0) for k in range(max(num) + 1)), len(variables))
+    return RationalSeries(
+        IntPolynomial.of(_numerator_splitting(masks)), len(ideal.ambient)
+    )
 
 
 @lru_cache(maxsize=100_000)
-def _numerator_splitting(exp_vectors: frozenset[tuple[int, ...]]) -> dict[int, int]:
-    """Numerator of S/I over (1-t)^n via the exact sequence splitting off one generator."""
-    if not exp_vectors:
-        return {0: 1}
-    pivot = max(exp_vectors)
-    rest = _minimalize(exp_vectors - {pivot})
-    colon = _minimalize(
-        frozenset(
-            tuple(max(g - m, 0) for g, m in zip(gen, pivot)) for gen in rest
-        )
-    )
-    out = dict(_numerator_splitting(rest))
-    shift = sum(pivot)
-    for d, c in _numerator_splitting(colon).items():
-        out[d + shift] = out.get(d + shift, 0) - c
-    return out
+def _numerator_splitting(gens: frozenset[int]) -> tuple[int, ...]:
+    """Numerator over (1-t)^N of S/I for the squarefree ideal I whose minimal
+    generators are the bitmasks ``gens`` (N being any count of variables that
+    covers their bits).
+
+    Each round of the loop either ends in a closed form or replaces I by a
+    colon ideal, so only the "without x" branch recurses, on strictly fewer
+    generators:
+
+    - no generators: 1;
+    - the unit ideal: 0;
+    - a common factor c of degree d: (1 - t^d) + t^d K(I/c);
+    - pairwise coprime generators: the product of (1 - t^deg g);
+    - otherwise, for the most frequent variable x (highest bit on ties):
+      K(I) = (1 - t) K(generators without x) + t K(I : x).
+    """
+    out = [0]
+    shift = 0  # K(original gens) = out + t^shift * K(gens)
+
+    def add(coeffs, at):
+        out.extend([0] * (at + len(coeffs) - len(out)))
+        for i, c in enumerate(coeffs, start=at):
+            out[i] += c
+
+    while gens and 0 not in gens:
+        common = -1
+        union = total = 0
+        for g in gens:
+            common &= g
+            union |= g
+            total += g.bit_count()
+        if common:
+            degree = common.bit_count()
+            add((1,) + (0,) * (degree - 1) + (-1,), shift)
+            shift += degree
+            gens = frozenset(g ^ common for g in gens)
+        elif total == union.bit_count():
+            product = [1] + [0] * total
+            for g in gens:
+                d = g.bit_count()
+                for i in range(total, d - 1, -1):
+                    product[i] -= product[i - d]
+            add(product, shift)
+            break
+        else:
+            pivot = _most_frequent_bit(gens)
+            without = frozenset(g for g in gens if not g & pivot)
+            rest = _numerator_splitting(without)
+            add(rest, shift)
+            add([-c for c in rest], shift + 1)
+            shift += 1
+            reduced = [g ^ pivot for g in gens if g & pivot]
+            gens = frozenset(
+                reduced + [h for h in without if not any(r & h == r for r in reduced)]
+            )
+    else:
+        if not gens:  # else a zero mask is left: the unit ideal, whose K is 0
+            add((1,), shift)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
-def _minimalize(exp_vectors: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    return frozenset(
-        g
-        for g in exp_vectors
-        if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in exp_vectors)
-    )
+def _most_frequent_bit(gens: frozenset[int]) -> int:
+    """The bit set in the most generators; the highest such bit on ties."""
+    counts: dict[int, int] = {}
+    for g in gens:
+        while g:
+            low = g & -g
+            counts[low] = counts.get(low, 0) + 1
+            g ^= low
+    return max(counts, key=lambda b: (counts[b], b))
 
 
 def extract_s_vector(series: RationalSeries, c: int, p: int) -> tuple[int, ...]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -69,6 +72,42 @@ def test_report_bad_json_exit_2(capsys, tmp_path):
     code, out = run_cli(capsys, "report", str(path))
     assert code == 2
     assert json.loads(out)["error"] == "BadJSON"
+
+
+@pytest.mark.parametrize("depth", [500, 3000])
+def test_report_deeply_nested_json(capsys, tmp_path, depth):
+    text = "[" * depth + "1" + "]" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        json.loads(text)
+        expected = (4, "SizeLimitExceeded")
+    except RecursionError:
+        expected = (2, "BadJSON")
+    code, out = run_cli(capsys, "report", str(path))
+    assert (code, json.loads(out)["error"]) == expected
+
+
+def test_report_into_closed_pipe_exit_141():
+    src = FIXTURES.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pferrer.cli", "report", "--certificate", "-"],
+            input=json.dumps([[9] * 6] * 3).encode(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "BrokenPipe"
 
 
 def test_report_deterministic_bytes(capsys):

@@ -1,9 +1,13 @@
+import functools
+import importlib
+import pkgutil
 import random
 from itertools import product
 
 import pytest
 
 from helpers import EX4322, random_partition
+import pferrer
 from pferrer import diagram as dg
 from pferrer.errors import (
     DepthMismatch,
@@ -270,3 +274,14 @@ def test_partition_from_boxes_roundtrip():
         part = random_partition(rng, rng.choice([1, 2, 3]))
         rebuilt = dg.partition_from_boxes(dg.boxes(part), part.depth)
         assert rebuilt == part
+
+
+def test_every_lru_cache_in_the_package_is_bounded():
+    seen = 0
+    for info in pkgutil.iter_modules(pferrer.__path__, "pferrer."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == module.__name__:
+                seen += 1
+                assert obj.cache_parameters()["maxsize"] is not None, f"{info.name}.{name}"
+    assert seen >= 3

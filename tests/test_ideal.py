@@ -73,6 +73,14 @@ def test_ferrer_ideal_generator_shape():
             assert sorted({v.group for v in g.support}) == list(range(1, part.depth + 1))
 
 
+def test_ferrer_ideal_matches_make_random():
+    rng = random.Random(29)
+    for _ in range(40):
+        part = random_partition(rng, rng.choice([1, 2, 3, 4]))
+        expected = il.MonomialIdeal.make(il.box_monomial(b) for b in dg.boxes(part))
+        assert il.ferrer_ideal(part) == expected
+
+
 def test_intersection_decomposition_square():
     components = il.intersection_decomposition(dg.validate([2, 2]))
     assert len(components) == 2

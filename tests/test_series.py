@@ -136,6 +136,78 @@ def test_series_taylor_matches_truncated_counts():
         assert series.taylor(12) == hilbert_function_truncated(ideal, 12)
 
 
+def test_hilbert_series_monomial_non_squarefree_matches_truncated_counts():
+    rng = random.Random(67)
+    variables = [il.Variable(1, i) for i in range(1, 9)]
+    for _ in range(60):
+        gens = [
+            il.Monomial.of({v: rng.randint(1, 3) for v in rng.sample(variables, rng.randint(1, 4))})
+            for _ in range(rng.randint(1, 7))
+        ]
+        ideal = il.MonomialIdeal.make(gens, ambient=variables)
+        series = sr.hilbert_series_monomial(ideal)
+        assert series.taylor(12) == hilbert_function_truncated(ideal, 12)
+
+
+def test_hilbert_series_monomial_x_squared_xy():
+    x, y = il.Variable(1, 1), il.Variable(1, 2)
+    ideal = il.MonomialIdeal.make([il.Monomial.of({x: 2}), il.Monomial.of({x: 1, y: 1})])
+    series = sr.hilbert_series_monomial(ideal)
+    assert series.taylor(12) == hilbert_function_truncated(ideal, 12)
+    assert series == sr.RationalSeries(P([1, 1, -1]), 1)
+
+
+def test_hilbert_series_monomial_high_power_chain():
+    x, y = il.Variable(1, 1), il.Variable(1, 2)
+    ideal = il.MonomialIdeal.make(
+        [il.Monomial.of({x: 900}), il.Monomial.of({x: 899, y: 1})]
+    )
+    series = sr.hilbert_series_monomial(ideal)
+    assert series.taylor(12) == hilbert_function_truncated(ideal, 12)
+    # Inclusion-exclusion: 1 - t^900 - t^900 + t^901, the last for the lcm x^900*y.
+    assert series == sr.RationalSeries(P([1] + [0] * 899 + [-2, 1]), 2)
+
+
+def test_hilbert_series_monomial_long_squarefree_chain():
+    xs = {il.Variable(1, i): 1 for i in range(1, 901)}
+    y, z = il.Variable(2, 1), il.Variable(2, 2)
+    ideal = il.MonomialIdeal.make(
+        [
+            il.Monomial.of({**xs, y: 1}),
+            il.Monomial.of({**xs, z: 1}),
+            il.Monomial.of({y: 1, z: 1}),
+        ]
+    )
+    series = sr.hilbert_series_monomial(ideal)
+    # Inclusion-exclusion over the three generators, whose pairwise and
+    # triple lcms all equal x1...x900*y*z: 1 - t^2 - 2t^901 + (3 - 1)t^902.
+    expected = P([1, 0, -1] + [0] * 898 + [-2, 2])
+    assert series == sr.RationalSeries(expected, 902)
+
+
+def test_hilbert_series_monomial_20x20_grid():
+    part = dg.validate([20] * 20)
+    profile = dg.diagonal_profile(part)
+    ideal = il.ferrer_ideal(part)
+    formula = sr.hilbert_series_linear(
+        profile.df, part.depth, profile.sigma, len(ideal.ambient) - profile.df
+    )
+    assert sr.hilbert_series_monomial(ideal) == formula
+
+
+def test_hilbert_series_monomial_unit_ideal_is_zero():
+    variables = [il.Variable(1, 1), il.Variable(1, 2)]
+    ideal = il.MonomialIdeal.make([il.MONOMIAL_ONE], ambient=variables)
+    series = sr.hilbert_series_monomial(ideal)
+    assert series.numerator.is_zero and series.denom_exponent == 0
+
+
+def test_hilbert_series_monomial_zero_ideal():
+    variables = [il.Variable(1, i) for i in range(1, 5)]
+    series = sr.hilbert_series_monomial(il.MonomialIdeal.make([], ambient=variables))
+    assert series == sr.RationalSeries(P([1]), 4)
+
+
 def test_extract_s_vector_square():
     series = sr.hilbert_series_linear(2, 2, (1,), 2)
     assert sr.extract_s_vector(series, 2, 2) == (1,)

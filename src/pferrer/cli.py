@@ -2,9 +2,10 @@
 
 Subcommands: report, verify, series, dual, macaulay, pure.  All output is
 JSON (report also has --text); identical inputs and flags produce identical
-bytes.  Exit codes: 2 parse/validation, 3 verification mismatch, 4 size
-limit, 5 not an M-vector, 6 infeasible integrality, 141 stdout closed by its
-reader.
+bytes.  Exit codes: 2 parse/validation, 3 verification mismatch or an
+inconsistent report, 4 size limit (input nested too deeply for the
+interpreter's recursion limit included), 5 not an M-vector, 6 infeasible
+integrality, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -113,15 +114,19 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
                 for w in cert.witnesses
             ],
         }
-    _assert_consistent(doc)
     return doc
 
 
-def _assert_consistent(doc: dict) -> None:
-    assert doc["betti"].get("1") == doc["boxes"]
-    assert doc["summary"]["projdim"] == doc["profile"]["delta"]
-    assert doc["summary"]["height"] == doc["profile"]["df"]
-    assert len(doc["generators"]) == doc["boxes"]
+def _broken_relation(doc: dict) -> str | None:
+    """The first relation between the report's fields that fails, or None."""
+    summary, profile = doc["summary"], doc["profile"]
+    relations = (
+        ("betti.1 == boxes", doc["betti"].get("1") == doc["boxes"]),
+        ("summary.projdim == profile.delta", summary["projdim"] == profile["delta"]),
+        ("summary.height == profile.df", summary["height"] == profile["df"]),
+        ("len(generators) == boxes", len(doc["generators"]) == doc["boxes"]),
+    )
+    return next((name for name, holds in relations if not holds), None)
 
 
 def _render_text(doc: dict) -> str:
@@ -144,6 +149,11 @@ def _render_text(doc: dict) -> str:
 def cmd_report(args, limits: Limits) -> int:
     part = _load_diagram(args.path, limits)
     doc = _report_document(part, limits, args.certificate)
+    relation = _broken_relation(doc)
+    if relation is not None:
+        message = f"the report violates {relation}"
+        _emit({"error": "InconsistentReport", "message": message, "relation": relation})
+        return EXIT_MISMATCH
     if args.text:
         print(_render_text(doc))
     else:
@@ -151,9 +161,9 @@ def cmd_report(args, limits: Limits) -> int:
     return 0
 
 
-def _check_betti(part, limits) -> dict:
+def _check_betti(part, ideal, limits) -> dict:
     table = iv.betti_table(part)
-    brute = oc.graded_betti_brute(il.ferrer_ideal(part), limits)
+    brute = oc.graded_betti_brute(ideal, limits)
     ok = brute.totals() == table.betti and brute.is_linear(part.depth)
     result = {"name": "betti_formula_vs_oracle", "ok": ok}
     if not ok:
@@ -163,9 +173,7 @@ def _check_betti(part, limits) -> dict:
     return result
 
 
-def _check_series(part, limits, max_degree: int) -> dict:
-    profile = dg.diagonal_profile(part)
-    ideal = il.ferrer_ideal(part)
+def _check_series(part, ideal, profile, limits, max_degree: int) -> dict:
     formula = sr.hilbert_series_linear(
         profile.df, part.depth, profile.sigma, len(ideal.ambient) - profile.df
     )
@@ -180,14 +188,13 @@ def _check_series(part, limits, max_degree: int) -> dict:
     return result
 
 
-def _check_decomposition(part, limits, seed: int, max_degree: int) -> dict:
-    ideal = il.ferrer_ideal(part)
+def _check_decomposition(part, ideal, seed: int, max_degree: int) -> dict:
     if part.depth == 1:
         return {"name": "intersection_decomposition", "ok": True, "skipped": "depth 1"}
-    components = il.intersection_decomposition(part)
-    intersection = components[0].ideal()
+    components = [c.ideal() for c in il.intersection_decomposition(part)]
+    intersection = components[0]
     for component in components[1:]:
-        intersection = oc.intersect_monomial(intersection, component.ideal())
+        intersection = oc.intersect_monomial(intersection, component)
     ok = intersection.generators == ideal.generators
     rng = random.Random(seed)
     variables = list(ideal.ambient)
@@ -197,7 +204,7 @@ def _check_decomposition(part, limits, seed: int, max_degree: int) -> dict:
         if monomial.degree > max_degree:
             continue
         in_ideal = ideal.contains(monomial)
-        in_all = all(c.ideal().contains(monomial) for c in components)
+        in_all = all(c.contains(monomial) for c in components)
         if in_ideal != in_all:
             ok = False
             break
@@ -208,15 +215,13 @@ def _check_decomposition(part, limits, seed: int, max_degree: int) -> dict:
     return result
 
 
-def _check_certificate(part) -> dict:
+def _check_certificate(part, profile) -> dict:
     cert = iv.ara_certificate(part)
-    ok = len(cert.classes[0]) == 1 and cert.ara == dg.diagonal_profile(part).delta
+    ok = len(cert.classes[0]) == 1 and cert.ara == profile.delta
     return {"name": "ara_certificate", "ok": ok, "ara": cert.ara}
 
 
-def _check_height_projdim(part, limits) -> dict:
-    profile = dg.diagonal_profile(part)
-    ideal = il.ferrer_ideal(part)
+def _check_height_projdim(ideal, profile, limits) -> dict:
     primes = il.minimal_primes(ideal, limits)
     brute = oc.graded_betti_brute(ideal, limits)
     ok = (
@@ -234,12 +239,14 @@ def _check_height_projdim(part, limits) -> dict:
 
 def cmd_verify(args, limits: Limits) -> int:
     part = _load_diagram(args.path, limits)
+    ideal = il.ferrer_ideal(part)
+    profile = dg.diagonal_profile(part)
     checks = [
-        _check_betti(part, limits),
-        _check_series(part, limits, args.max_degree),
-        _check_decomposition(part, limits, args.seed, args.max_degree),
-        _check_certificate(part),
-        _check_height_projdim(part, limits),
+        _check_betti(part, ideal, limits),
+        _check_series(part, ideal, profile, limits, args.max_degree),
+        _check_decomposition(part, ideal, args.seed, args.max_degree),
+        _check_certificate(part, profile),
+        _check_height_projdim(ideal, profile, limits),
     ]
     ok = all(check["ok"] for check in checks)
     _emit({"input": part.to_tree(), "seed": args.seed, "checks": checks, "ok": ok})
@@ -418,6 +425,12 @@ def _dispatch(args) -> int:
         return args.handler(args, limits)
     except (SizeLimitExceeded, TooManyGenerators) as err:
         _emit({"error": type(err).__name__, "message": str(err)})
+        return EXIT_SIZE_LIMIT
+    except RecursionError:
+        # A max_depth raised in FERRER_LIMITS can admit input that the
+        # recursive diagram code cannot walk within the interpreter's limit.
+        message = "input nested too deeply for the interpreter's recursion limit"
+        _emit({"error": SizeLimitExceeded.__name__, "message": message})
         return EXIT_SIZE_LIMIT
     except ValidationError as err:
         _emit({"error": type(err).__name__, "message": str(err), "path": err.path})

@@ -121,6 +121,27 @@ class MonomialIdeal:
     def contains(self, m: Monomial) -> bool:
         return any(g.divides(m) for g in self.generators)
 
+    def masks(self) -> tuple[int, ...]:
+        """The generators as int bitmasks of their polarization, in order.
+
+        Each ambient variable, in order, owns a block of max(1, e) bits, e
+        being its largest exponent, and x^a sets the lowest a bits of x's
+        block; so for a squarefree ideal bit i is ``ambient[i]``.
+        """
+        width: dict[Variable, int] = {}
+        for g in self.generators:
+            for v, e in g.factors:
+                if e > width.get(v, 1):
+                    width[v] = e
+        offset, bit = {}, 0
+        for v in self.ambient:
+            offset[v] = bit
+            bit += width.get(v, 1)
+        return tuple(
+            sum(((1 << e) - 1) << offset[v] for v, e in g.factors)
+            for g in self.generators
+        )
+
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
@@ -196,14 +217,7 @@ def minimal_primes(
             f"{len(variables)} variables exceed hitting-set limit "
             f"{limits.hitting_set_max_variables}"
         )
-    position = {v: i for i, v in enumerate(variables)}
-    masks = []
-    for g in ideal.generators:
-        mask = 0
-        for v in g.support:
-            mask |= 1 << position[v]
-        masks.append(mask)
-    covers = _minimal_covers(tuple(sorted(set(masks))), {})
+    covers = _minimal_covers(tuple(sorted(set(ideal.masks()))), {})
     covers = [
         c for c in covers if not any(d != c and d & c == d for d in covers)
     ]

@@ -1,9 +1,11 @@
 """Definition-level verification tools for monomial ideals.
 
-Graded Betti numbers are computed from scratch: for every multidegree in the
-lcm lattice of the generators, the homology of the corresponding upper Koszul
-simplicial complex is computed by exact rank of boundary matrices.  Nothing
-here knows about diagrams or closed formulas, so agreement with the formula
+Graded Betti numbers are computed from scratch on the polarized generator
+bitmasks that also feed the Hilbert series (``MonomialIdeal.masks``): for
+every multidegree in their lcm lattice, the homology of the upper Koszul
+simplicial complex is computed by exact rank of boundary matrices.  Truncated
+Hilbert functions count on true exponent vectors, unpolarized.  Nothing here
+knows about diagrams or closed formulas, so agreement with the formula
 modules is a genuine two-route check.
 """
 
@@ -221,65 +223,58 @@ class SimplicialComplex:
         return _homology_of_faces(self.faces(), modulus)
 
 
-def _strong_collapse(
-    vertices: frozenset, sets: tuple[frozenset, ...]
-) -> tuple[frozenset, tuple[frozenset, ...]] | None:
+def _strong_collapse(vertices: int, sets) -> tuple[int, list[int]] | None:
     """Iteratively delete dominated vertices; None means the complex became
     visibly contractible (a cone or a full simplex), so all reduced homology
     vanishes.  Deleting a vertex whose maximal-face incidences are covered by
-    another vertex preserves the homotopy type.
+    another vertex preserves the homotopy type.  Vertices and sets are
+    bitmasks.
     """
-    sets = tuple(set(s) for s in sets)
-    vertices = set(vertices)
     while True:
-        sets = [s for s in sets if not any(o is not s and o < s for o in sets)]
-        unique = []
-        for s in sets:
-            if s not in unique:
-                unique.append(s)
-        sets = unique
-        if any(not s for s in sets):
+        sets = sorted({s for s in sets if not any(o != s and o & s == o for o in sets)})
+        if not sets or sets[0] == 0:
             return None
-        covered = set().union(*sets) if sets else set()
+        covered = 0
+        for s in sets:
+            covered |= s
         if covered != vertices:
             return None
+        members = _bits(vertices)
         incidence = {
-            v: frozenset(i for i, s in enumerate(sets) if v in s) for v in vertices
+            v: sum(1 << i for i, s in enumerate(sets) if s >> v & 1) for v in members
         }
         dominated = None
-        for v in sorted(vertices, reverse=True):
-            for u in sorted(vertices):
-                if u != v and incidence[u] <= incidence[v]:
-                    dominated = v
-                    break
-            if dominated is not None:
+        for v in reversed(members):
+            if any(u != v and incidence[u] & ~incidence[v] == 0 for u in members):
+                dominated = v
                 break
         if dominated is None:
-            return frozenset(vertices), tuple(frozenset(s) for s in sets)
-        vertices.discard(dominated)
-        for s in sets:
-            s.discard(dominated)
+            return vertices, sets
+        vertices &= ~(1 << dominated)
+        sets = [s & ~(1 << dominated) for s in sets]
 
 
-def _avoidance_homology(
-    vertices: frozenset, sets: tuple[frozenset, ...], modulus: int | None
-) -> dict[int, int]:
+def _avoidance_homology(vertices: int, sets, modulus: int | None) -> dict[int, int]:
     """Homology of the complex whose faces are the subsets of ``vertices``
-    disjoint from at least one of the given sets."""
+    disjoint from at least one of the given sets (all bitmasks)."""
     core = _strong_collapse(vertices, sets)
     if core is None:
         return {}
     core_vertices, core_sets = core
-    order = {v: i for i, v in enumerate(sorted(core_vertices))}
-    full = (1 << len(order)) - 1
-    maximal = []
-    for s in core_sets:
-        mask = full
-        for v in s:
-            mask &= ~(1 << order[v])
-        maximal.append(mask)
-    faces = _collapse_free_pairs(_submask_faces(maximal), len(order))
+    members = _bits(core_vertices)
+    full = (1 << len(members)) - 1
+    maximal = [full & ~_compress(s, members) for s in core_sets]
+    faces = _collapse_free_pairs(_submask_faces(maximal), len(members))
     return _homology_of_faces(faces, modulus)
+
+
+def _compress(mask: int, positions: list[int]) -> int:
+    """Renumber the bits of ``mask`` at ``positions`` to 0, 1, ... in order."""
+    out = 0
+    for i, b in enumerate(positions):
+        if mask >> b & 1:
+            out |= 1 << i
+    return out
 
 
 @dataclass(frozen=True)
@@ -317,14 +312,14 @@ class GradedBettiTable:
         return [{"j": j, "degree": a, "beta": v} for j, a, v in self.entries]
 
 
-def _lcm_lattice(gen_vectors: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    lattice = set(gen_vectors)
+def _lcm_lattice(masks: tuple[int, ...]) -> set[int]:
+    lattice = set(masks)
     frontier = list(lattice)
     while frontier:
         fresh = []
         for x in frontier:
-            for g in gen_vectors:
-                y = tuple(map(max, x, g))
+            for g in masks:
+                y = x | g
                 if y not in lattice:
                     lattice.add(y)
                     fresh.append(y)
@@ -339,61 +334,48 @@ def graded_betti_brute(
 ) -> GradedBettiTable:
     """Graded Betti numbers of S/I by upper Koszul homology over the lcm lattice.
 
-    For a multidegree alpha, faces are the subsets S of supp(alpha) with
-    x^alpha / x^S still in I, and beta_{j, alpha}(S/I) is the reduced homology
-    rank of that complex in dimension j - 2.  Results for multidegrees with
-    the same generator pattern (up to order-preserving relabeling inside each
-    variable group) are computed once.
+    Polarization (``MonomialIdeal.masks``) keeps graded Betti numbers, so
+    this works on squarefree bitmasks, and ``oracle_max_variables`` counts
+    polarized variables.  For alpha in the OR-closure of the masks, faces are
+    the subsets of alpha avoiding some generator below alpha, and
+    beta_{j, alpha}(S/I) is the reduced homology rank of that complex in
+    dimension j - 2.  The generators below alpha cover it, so the complex is
+    fixed by them with alpha's bits renumbered in order; each such pattern is
+    computed once.
     """
-    variables = ideal.ambient
-    if len(variables) > limits.oracle_max_variables:
+    masks = ideal.masks()
+    union = 0
+    for g in masks:
+        union |= g
+    # every ambient variable owns one bit, and a used one of width e has e
+    used = {v for g in ideal.generators for v in g.support}
+    nvars = len(ideal.ambient) - len(used) + union.bit_count()
+    if nvars > limits.oracle_max_variables:
         raise SizeLimitExceeded(
-            f"{len(variables)} variables exceed oracle limit {limits.oracle_max_variables}"
+            f"{nvars} variables exceed oracle limit {limits.oracle_max_variables}"
         )
-    if len(ideal.generators) > limits.oracle_max_generators:
+    if len(masks) > limits.oracle_max_generators:
         raise SizeLimitExceeded(
-            f"{len(ideal.generators)} generators exceed oracle limit "
+            f"{len(masks)} generators exceed oracle limit "
             f"{limits.oracle_max_generators}"
         )
-    gen_vectors = [
-        tuple(g.exponent(v) for v in variables) for g in ideal.generators
-    ]
-    if not gen_vectors:
-        return GradedBettiTable(())
+    if not masks or 0 in masks:
+        return GradedBettiTable(())  # the zero ideal, or the unit ideal
     entries: dict[tuple[int, int], int] = {}
     memo: dict = {}
-    for alpha in _lcm_lattice(gen_vectors):
-        support = frozenset(i for i, e in enumerate(alpha) if e)
-        critical = []
-        for g in gen_vectors:
-            if all(ge <= ae for ge, ae in zip(g, alpha)):
-                critical.append(frozenset(v for v in support if g[v] == alpha[v]))
-        if any(not u for u in critical):
-            continue  # some generator avoids the support entirely: full simplex
-        if frozenset().union(*critical) != support:
-            continue  # an untouched vertex cones the complex off
-        key = _pattern_key(support, critical, variables)
-        if key in memo:
-            ranks = memo[key]
-        else:
-            ranks = _avoidance_homology(support, tuple(critical), modulus)
-            memo[key] = ranks
-        degree = sum(alpha)
+    for alpha in _lcm_lattice(masks):
+        positions = _bits(alpha)
+        key = frozenset(_compress(g, positions) for g in masks if g & alpha == g)
+        ranks = memo.get(key)
+        if ranks is None:
+            ranks = memo[key] = _avoidance_homology(
+                (1 << len(positions)) - 1, key, modulus
+            )
+        degree = len(positions)
         for dim, value in ranks.items():
             j = dim + 2
             entries[(j, degree)] = entries.get((j, degree), 0) + value
     return GradedBettiTable.of(entries)
-
-
-def _pattern_key(support, critical, variables):
-    groups: dict[int, list[int]] = {}
-    for v in support:
-        groups.setdefault(variables[v].group, []).append(v)
-    rank = {}
-    for group, members in groups.items():
-        for r, v in enumerate(sorted(members, key=lambda i: variables[i].index)):
-            rank[v] = (group, r)
-    return frozenset(frozenset(rank[v] for v in u) for u in critical)
 
 
 def hilbert_function_truncated(

@@ -235,32 +235,20 @@ def hilbert_series_monomial(
 ) -> RationalSeries:
     """Series of S/I computed from the generators alone.
 
-    Each generator becomes an int bitmask.  A generator that is not squarefree
-    is polarized first: a variable whose largest exponent is e owns a block of
-    e bits, and x^a sets the lowest a bits of its block.  Polarization keeps
-    the numerator over (1-t)^n (the K-polynomial), so the denominator exponent
-    stays the number of ambient variables.  The numerator comes from pivot
-    splitting on the most frequent variable (``_numerator_splitting``).
+    The generators are taken as the squarefree bitmasks of their polarization
+    (``MonomialIdeal.masks``).  Polarization keeps the numerator over (1-t)^n
+    (the K-polynomial), so the denominator exponent stays the number of
+    ambient variables.  The numerator comes from pivot splitting on the most
+    frequent variable (``_numerator_splitting``).
     """
     gens = ideal.generators
     if len(gens) > limits.series_recursion_max_generators:
         raise TooManyGenerators(
             f"{len(gens)} generators exceed limit {limits.series_recursion_max_generators}"
         )
-    width: dict = {}
-    for g in gens:
-        for v, e in g.factors:
-            if e > width.get(v, 0):
-                width[v] = e
-    offset, bit = {}, 0
-    for v in ideal.ambient:
-        offset[v] = bit
-        bit += width.get(v, 0)
-    masks = frozenset(
-        sum(((1 << e) - 1) << offset[v] for v, e in g.factors) for g in gens
-    )
     return RationalSeries(
-        IntPolynomial.of(_numerator_splitting(masks)), len(ideal.ambient)
+        IntPolynomial.of(_numerator_splitting(frozenset(ideal.masks()))),
+        len(ideal.ambient),
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 from helpers import FIXTURES
 from pferrer import cli
+from pferrer import invariants as iv
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +88,37 @@ def test_report_deeply_nested_json(capsys, tmp_path, depth):
         expected = (2, "BadJSON")
     code, out = run_cli(capsys, "report", str(path))
     assert (code, json.loads(out)["error"]) == expected
+
+
+@pytest.mark.parametrize(
+    "command, depth", [("report", 500), ("series", 400), ("dual", 400), ("verify", 400)]
+)
+def test_nesting_past_the_recursion_limit_exit_4(
+    capsys, tmp_path, monkeypatch, command, depth
+):
+    # max_depth admits the tree; walking it overflows the interpreter's stack
+    monkeypatch.setenv("FERRER_LIMITS", json.dumps({"max_depth": 5000}))
+    tree = 1
+    for _ in range(depth - 1):
+        tree = [tree]
+    code, out = run_cli(capsys, command, write_diagram(tmp_path, tree))
+    assert code == 4
+    assert json.loads(out)["error"] == "SizeLimitExceeded"
+
+
+def test_report_inconsistent_fields_exit_3(capsys, monkeypatch):
+    real = iv.homological_summary
+
+    def wrong_projdim(part):
+        summary = real(part)
+        return dataclasses.replace(summary, projdim=summary.projdim + 1)
+
+    monkeypatch.setattr(iv, "homological_summary", wrong_projdim)
+    code, out = run_cli(capsys, "report", str(FIXTURES / "staircase_22.json"))
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["error"] == "InconsistentReport"
+    assert doc["relation"] == "summary.projdim == profile.delta"
 
 
 def test_report_into_closed_pipe_exit_141():

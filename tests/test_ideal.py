@@ -81,6 +81,28 @@ def test_ferrer_ideal_matches_make_random():
         assert il.ferrer_ideal(part) == expected
 
 
+def test_masks_squarefree_bit_i_is_ambient_i():
+    ideal = il.ferrer_ideal(dg.validate([[2, 1], [1]]))
+    expected = tuple(
+        sum(1 << ideal.ambient.index(v) for v in g.support) for g in ideal.generators
+    )
+    assert ideal.masks() == expected
+
+
+def test_masks_polarize_x_squared_xy():
+    x, y = V(1, 1), V(1, 2)
+    ideal = il.MonomialIdeal.make([M({x: 2}), M({x: 1, y: 1})])
+    # x owns bits 0-1 and y bit 2; generators in canonical order: x*y, x^2
+    assert [str(g) for g in ideal.generators] == ["x1_1*x1_2", "x1_1^2"]
+    assert ideal.masks() == (0b101, 0b011)
+
+
+def test_masks_unused_ambient_variable_owns_one_bit():
+    x, y, z = V(1, 1), V(1, 2), V(1, 3)
+    assert il.MonomialIdeal.make([M({x: 1, z: 1})], ambient=[x, y, z]).masks() == (0b101,)
+    assert il.MonomialIdeal.make([M({x: 2, z: 1})], ambient=[x, y, z]).masks() == (0b1011,)
+
+
 def test_intersection_decomposition_square():
     components = il.intersection_decomposition(dg.validate([2, 2]))
     assert len(components) == 2

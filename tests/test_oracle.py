@@ -116,6 +116,53 @@ def test_graded_betti_nonsquarefree():
     assert table.entries == ((1, 2, 2), (2, 3, 1))
 
 
+def test_graded_betti_two_squares():
+    x, y = V(1, 1), V(1, 2)
+    table = oc.graded_betti_brute(il.MonomialIdeal.make([M({x: 2}), M({y: 2})]))
+    assert table.entries == ((1, 2, 2), (2, 4, 1))
+
+
+def test_graded_betti_cube_of_maximal_ideal():
+    x, y = V(1, 1), V(1, 2)
+    gens = [M({x: 3 - k, y: k}) for k in range(4)]
+    table = oc.graded_betti_brute(il.MonomialIdeal.make(gens))
+    assert table.entries == ((1, 3, 4), (2, 4, 3))
+
+
+def test_graded_betti_nonsquarefree_random_matches_truncated_k_polynomial():
+    # The oracle polarizes; the truncated count reads true exponent vectors.
+    rng = random.Random(131)
+    variables = [V(1, 1), V(1, 2), V(1, 3), V(2, 1), V(2, 2), V(3, 1)]
+    limits = Limits(oracle_max_variables=32)
+    for _ in range(40):
+        gens = []
+        for _ in range(rng.randint(1, 5)):
+            chosen = rng.sample(variables, rng.randint(1, 4))
+            gens.append(M({v: rng.randint(1, 3) for v in chosen}))
+        ideal = il.MonomialIdeal.make(gens)
+        table = oc.graded_betti_brute(ideal, limits)
+        coeffs = {0: 1}
+        for j, a, value in table.entries:
+            coeffs[a] = coeffs.get(a, 0) + (-1) ** j * value
+        alternating = sr.IntPolynomial.of(
+            coeffs.get(k, 0) for k in range(max(coeffs) + 1)
+        )
+        # K(t) has degree at most that of the lcm of all generators
+        top = sum(max(g.exponent(v) for g in ideal.generators) for v in ideal.ambient)
+        counts = sr.IntPolynomial.of(oc.hilbert_function_truncated(ideal, top))
+        product = counts * sr.ONE_MINUS_T ** len(ideal.ambient)
+        assert alternating == sr.IntPolynomial.of(product.coeffs[: top + 1])
+
+
+def test_graded_betti_limit_counts_polarized_variables():
+    x = V(1, 1)
+    assert oc.graded_betti_brute(il.MonomialIdeal.make([M({x: 16})])).entries == (
+        (1, 16, 1),
+    )
+    with pytest.raises(SizeLimitExceeded):
+        oc.graded_betti_brute(il.MonomialIdeal.make([M({x: 17})]))
+
+
 def test_graded_betti_against_formula_random():
     rng = random.Random(103)
     for _ in range(12):

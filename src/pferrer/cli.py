@@ -2,10 +2,11 @@
 
 Subcommands: report, verify, series, dual, macaulay, pure.  All output is
 JSON (report also has --text); identical inputs and flags produce identical
-bytes.  Exit codes: 2 parse/validation, 3 verification mismatch or an
-inconsistent report, 4 size limit (input nested too deeply for the
-interpreter's recursion limit included), 5 not an M-vector, 6 infeasible
-integrality, 141 stdout closed by its reader.
+bytes.  Exit codes: 2 parse/validation (a flag out of range included), 3
+verification mismatch or an inconsistent report, 4 size limit (input nested
+too deeply for the interpreter's recursion limit, and an h-vector summing
+past max_boxes, included), 5 not an M-vector, 6 infeasible integrality, 141
+stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by 
 
 def _emit(document: dict) -> None:
     print(json.dumps(document, indent=2))
+
+
+def _bad_flags(message: str) -> int:
+    _emit({"error": "BadFlags", "message": message})
+    return EXIT_VALIDATION
 
 
 def _load_diagram(path: str, limits: Limits) -> dg.PFerrerPartition:
@@ -238,6 +244,8 @@ def _check_height_projdim(ideal, profile, limits) -> dict:
 
 
 def cmd_verify(args, limits: Limits) -> int:
+    if args.max_degree < 0:
+        return _bad_flags(f"--max-degree must be non-negative, got {args.max_degree}")
     part = _load_diagram(args.path, limits)
     ideal = il.ferrer_ideal(part)
     profile = dg.diagonal_profile(part)
@@ -292,21 +300,17 @@ def cmd_macaulay(args, limits: Limits) -> int:
     except ValueError:
         _emit({"error": "BadHVector", "message": f"cannot parse {args.h!r}"})
         return EXIT_VALIDATION
-    check = mc.is_m_vector(h)
-    if not check.ok:
-        _emit(
-            {
-                "error": "NotMVector",
-                "message": f"h_{check.index} <= {check.bound} is violated",
-                "index": check.index,
-                "bound": check.bound,
-            }
-        )
-        return EXIT_NOT_M_VECTOR
     try:
         realization = mc.realize_mvector(h, limits)
     except NotMVector as err:
-        _emit({"error": "NotMVector", "message": str(err)})
+        _emit(
+            {
+                "error": "NotMVector",
+                "message": f"h_{err.index} <= {err.bound} is violated",
+                "index": err.index,
+                "bound": err.bound,
+            }
+        )
         return EXIT_NOT_M_VECTOR
     _emit(
         {
@@ -324,8 +328,9 @@ def cmd_macaulay(args, limits: Limits) -> int:
 def cmd_pure(args, limits: Limits) -> int:
     if args.a1 is not None:
         if args.a2 is None or args.beta0 is None:
-            _emit({"error": "BadFlags", "message": "--a1 requires --a2 and --beta0"})
-            return EXIT_VALIDATION
+            return _bad_flags("--a1 requires --a2 and --beta0")
+        if not 0 < args.a1 < args.a2 or args.beta0 < 1:
+            return _bad_flags("need 0 < --a1 < --a2 and --beta0 >= 1")
         record = iv.pure_codim2_betti(args.a1, args.a2, args.beta0)
         if record is None:
             _emit(
@@ -345,8 +350,9 @@ def cmd_pure(args, limits: Limits) -> int:
         )
         return 0
     if args.c is None or args.p is None or args.alpha is None:
-        _emit({"error": "BadFlags", "message": "need --a1/--a2/--beta0 or --c/--p/--alpha"})
-        return EXIT_VALIDATION
+        return _bad_flags("need --a1/--a2/--beta0 or --c/--p/--alpha")
+    if min(args.c, args.p, args.alpha) < 1:
+        return _bad_flags("--c, --p and --alpha must be positive")
     base_type = tuple([0] + [args.c + i for i in range(args.p)])
     base_betti = tuple(iv.betti_cm(args.c, args.p, j) for j in range(args.p + 1))
     scaled_type, scaled_betti = iv.scaled_resolution_type(base_type, base_betti, args.alpha)

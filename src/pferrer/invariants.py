@@ -173,26 +173,29 @@ class AraCertificate:
 
 def ara_certificate(part: PFerrerPartition) -> AraCertificate:
     profile = diagonal_profile(part)
+    monomials = {box: box_monomial(box) for box in boxes(part)}
     by_diagonal: dict[int, list[Box]] = {k: [] for k in range(1, profile.delta + 1)}
-    for box in boxes(part):
+    for box in sorted(monomials):
         by_diagonal[diagonal_index(box)].append(box)
     classes = tuple(
-        tuple(box_monomial(b) for b in sorted(by_diagonal[k]))
-        for k in range(1, profile.delta + 1)
+        tuple(monomials[b] for b in by_diagonal[k]) for k in range(1, profile.delta + 1)
     )
     witnesses = []
     for k in range(1, profile.delta + 1):
-        for first, second in combinations(sorted(by_diagonal[k]), 2):
+        for first, second in combinations(by_diagonal[k], 2):
             witness_box = _lowered_box(first, second)
             witness_diag = diagonal_index(witness_box)
-            witness = box_monomial(witness_box)
-            product = box_monomial(first).lcm(box_monomial(second))
-            if witness_diag >= k or not witness.divides(product):
+            # a box monomial divides lcm(first, second) exactly when each of
+            # its coordinates is the first's or the second's
+            divides = all(w in pair for w, pair in zip(witness_box, zip(first, second)))
+            if witness_diag >= k or witness_box not in monomials or not divides:
                 raise CertificateFailure(
                     f"no earlier-class divisor for pair {first}, {second}"
                 )
             witnesses.append(
-                AraWitness(box_monomial(first), box_monomial(second), witness_diag, witness)
+                AraWitness(
+                    monomials[first], monomials[second], witness_diag, monomials[witness_box]
+                )
             )
     return AraCertificate(classes, tuple(witnesses))
 

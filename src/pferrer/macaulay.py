@@ -10,7 +10,12 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .diagram import PFerrerPartition, partition_from_boxes
-from .errors import CountOutOfRange, NotClosedUnderDivision, NotMVector
+from .errors import (
+    CountOutOfRange,
+    NotClosedUnderDivision,
+    NotMVector,
+    SizeLimitExceeded,
+)
 from .ideal import MonomialIdeal, alexander_dual, ferrer_ideal
 from .limits import DEFAULT_LIMITS, Limits
 from .series import h_vector, hilbert_series_monomial
@@ -71,8 +76,13 @@ def revlex_segment(nvars: int, degree: int, count: int) -> list[Exponents]:
         )
     if degree == 0:
         return [(0,) * nvars] if count else []
+    # revlex puts the C(m + degree - 1, degree) monomials in the first m
+    # variables before all others, so the fewest such m suffice
+    used = 0
+    while math.comb(used + degree - 1, degree) < count:
+        used += 1
     monomials = []
-    for combo in combinations_with_replacement(range(nvars), degree):
+    for combo in combinations_with_replacement(range(used), degree):
         exps = [0] * nvars
         for v in combo:
             exps[v] += 1
@@ -142,8 +152,11 @@ class Realization:
 
 def realize_mvector(h, limits: Limits = DEFAULT_LIMITS) -> Realization:
     """Build the diagram realizing h as diagonal counts and verify, through the
-    independent series route, that h is the h-vector of the dual quotient."""
+    independent series route, that h is the h-vector of the dual quotient.
+    The diagram has sum(h) boxes, checked against ``max_boxes`` first."""
     h = tuple(h)
+    if sum(h) > limits.max_boxes:
+        raise SizeLimitExceeded(f"{sum(h)} boxes exceed limit {limits.max_boxes}")
     while len(h) > 1 and h[-1] == 0:
         h = h[:-1]
     mc = multicomplex_from_mvector(h)

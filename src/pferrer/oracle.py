@@ -3,16 +3,17 @@
 Graded Betti numbers are computed from scratch on the polarized generator
 bitmasks that also feed the Hilbert series (``MonomialIdeal.masks``): for
 every multidegree in their lcm lattice, the homology of the upper Koszul
-simplicial complex is computed by exact rank of boundary matrices.  Truncated
-Hilbert functions count on true exponent vectors, unpolarized.  Nothing here
-knows about diagrams or closed formulas, so agreement with the formula
-modules is a genuine two-route check.
+simplicial complex is read off a sequential element matching (discrete Morse
+theory), with exact rank of boundary matrices as the fallback when the
+critical faces lie in more than one dimension.  Truncated Hilbert functions
+count on true exponent vectors, unpolarized.  Nothing here knows about
+diagrams or closed formulas, so agreement with the formula modules is a
+genuine two-route check.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import SizeLimitExceeded
@@ -41,40 +42,6 @@ def _bits(mask: int) -> list[int]:
         mask >>= 1
         v += 1
     return out
-
-
-def _collapse_free_pairs(faces: set[int], vertex_count: int) -> set[int]:
-    """Remove free pairs (f, g) where g is the only face properly containing f.
-
-    Each removal is an elementary collapse, so the homotopy type is preserved;
-    collapsing a lone point down to the void complex is harmless here because
-    both have vanishing reduced homology.
-    """
-    bits = [1 << v for v in range(vertex_count)]
-    queue = deque(faces)
-    while queue:
-        f = queue.popleft()
-        if f not in faces:
-            continue
-        coface = None
-        extra = False
-        for b in bits:
-            if not (f & b) and (f | b) in faces:
-                if coface is not None:
-                    extra = True
-                    break
-                coface = f | b
-        if extra or coface is None:
-            continue
-        faces.discard(f)
-        faces.discard(coface)
-        for removed in (f, coface):
-            for b in bits:
-                if removed & b:
-                    sub = removed & ~b
-                    if sub in faces:
-                        queue.append(sub)
-    return faces
 
 
 def _rank(columns, modulus: int | None) -> int:
@@ -184,6 +151,31 @@ def _homology_of_faces(faces: set[int], modulus: int | None) -> dict[int, int]:
     return ranks
 
 
+def _morse_homology(
+    faces: set[int], vertex_count: int, modulus: int | None
+) -> dict[int, int]:
+    """Reduced homology of a complex given by all its faces, by a sequential
+    element matching (Forman; Jonsson, Simplicial Complexes of Graphs).
+
+    For v = 0, 1, ... in turn, each still unmatched face F without v is paired
+    with F | v when that face is unmatched too.  The matching is acyclic, so
+    the complex is homotopy equivalent to one with a cell per critical face.
+    When those all have one size s, the Morse complex has zero differential
+    and the homology is their count in dimension s - 1, over the integers and
+    every field; otherwise exact rank decides.
+    """
+    critical = set(faces)
+    for v in range(vertex_count):
+        bit = 1 << v
+        matched = [f for f in critical if not f & bit and f | bit in critical]
+        critical.difference_update(matched)
+        critical.difference_update([f | bit for f in matched])
+    sizes = {f.bit_count() for f in critical}
+    if len(sizes) > 1:
+        return _homology_of_faces(faces, modulus)
+    return {size - 1: len(critical) for size in sizes}
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Abstract complex on integer vertices, stored by maximal faces.
@@ -220,7 +212,7 @@ class SimplicialComplex:
         return sum((-1) ** (f.bit_count() - 1) for f in self.faces())
 
     def reduced_homology_ranks(self, modulus: int | None = None) -> dict[int, int]:
-        return _homology_of_faces(self.faces(), modulus)
+        return _morse_homology(self.faces(), self.nvertices, modulus)
 
 
 def _strong_collapse(vertices: int, sets) -> tuple[int, list[int]] | None:
@@ -264,8 +256,7 @@ def _avoidance_homology(vertices: int, sets, modulus: int | None) -> dict[int, i
     members = _bits(core_vertices)
     full = (1 << len(members)) - 1
     maximal = [full & ~_compress(s, members) for s in core_sets]
-    faces = _collapse_free_pairs(_submask_faces(maximal), len(members))
-    return _homology_of_faces(faces, modulus)
+    return _morse_homology(_submask_faces(maximal), len(members), modulus)
 
 
 def _compress(mask: int, positions: list[int]) -> int:
@@ -339,9 +330,10 @@ def graded_betti_brute(
     polarized variables.  For alpha in the OR-closure of the masks, faces are
     the subsets of alpha avoiding some generator below alpha, and
     beta_{j, alpha}(S/I) is the reduced homology rank of that complex in
-    dimension j - 2.  The generators below alpha cover it, so the complex is
-    fixed by them with alpha's bits renumbered in order; each such pattern is
-    computed once.
+    dimension j - 2, read off an element matching after strong collapse, with
+    exact rank only where the critical faces span two dimensions.  The
+    generators below alpha cover it, so the complex is fixed by them with
+    alpha's bits renumbered in order; each such pattern is computed once.
     """
     masks = ideal.masks()
     union = 0
@@ -429,7 +421,11 @@ def hilbert_function_truncated(
         memo[key] = result
         return result
 
-    return count(0, max_degree, all_active)
+    counts = count(0, max_degree, all_active)
+    # count refers to itself through its closure, so only a cyclic garbage
+    # collection would otherwise free the memo
+    memo.clear()
+    return counts
 
 
 def intersect_monomial(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

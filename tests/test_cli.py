@@ -224,6 +224,20 @@ def test_macaulay_rejects_non_mvector(capsys):
     assert "h_2 <= 3" in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        ("1,30,465,4960,40920", "46376 boxes exceed limit 10000"),
+        ("1,99999999999", "100000000000 boxes exceed limit 10000"),
+        ("1,200,1,1,1", "403 variables exceed hitting-set limit 30"),
+    ],
+)
+def test_macaulay_oversized_exit_4(capsys, h, message):
+    code, out = run_cli(capsys, "macaulay", "--h", h)
+    assert code == 4
+    assert json.loads(out) == {"error": "SizeLimitExceeded", "message": message}
+
+
 def test_macaulay_trivial(capsys):
     code, out = run_cli(capsys, "macaulay", "--h", "1")
     assert code == 0
@@ -249,6 +263,22 @@ def test_pure_infeasible_exit_6(capsys):
     code, out = run_cli(capsys, "pure", "--a1", "2", "--a2", "5", "--beta0", "1")
     assert code == 6
     assert json.loads(out)["error"] == "Infeasible"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pure", "--c", "2", "--p", "2", "--alpha", "0"],
+        ["pure", "--a1", "3", "--a2", "2", "--beta0", "1"],
+        ["pure", "--c", "0", "--p", "2", "--alpha", "1"],
+        ["pure", "--c", "2", "--p", "-1", "--alpha", "1"],
+        ["verify", "--max-degree", "-3", str(FIXTURES / "example_4322.json")],
+    ],
+)
+def test_flag_out_of_range_exit_2(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "BadFlags"
 
 
 def test_limits_env_override(capsys, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from pferrer import diagram as dg
 from pferrer import ideal as il
 from pferrer import invariants as iv
 from pferrer import oracle as oc
+from pferrer.errors import CertificateFailure
 
 
 def test_betti_cm_small_values():
@@ -200,6 +201,24 @@ def test_ara_certificate_every_pair_has_witness():
             pair_diagonal = sum(v.index for v in w.first.support) - part.depth + 1
             assert w.witness.divides(w.first.lcm(w.second))
             assert 1 <= w.witness_class < pair_diagonal
+
+
+def test_ara_certificate_rejects_a_witness_outside_the_diagram(monkeypatch):
+    part = dg.validate([2, 2])
+    monkeypatch.setattr(iv, "boxes", lambda p: dg.boxes(p) - {(1, 1)})
+    with pytest.raises(CertificateFailure, match="no earlier-class divisor"):
+        iv.ara_certificate(part)
+
+
+def test_ara_certificate_rejects_a_non_dividing_witness(monkeypatch):
+    lowered = iv._lowered_box
+
+    def wrong(a, b):
+        return (2, 1) if {a, b} == {(1, 3), (3, 1)} else lowered(a, b)
+
+    monkeypatch.setattr(iv, "_lowered_box", wrong)
+    with pytest.raises(CertificateFailure, match=r"pair \(1, 3\), \(3, 1\)"):
+        iv.ara_certificate(dg.validate([3, 3, 3]))
 
 
 def test_betti_bounds_cm_equality():

@@ -6,7 +6,13 @@ import pytest
 from helpers import HVECTOR_GENERATORS
 from pferrer import diagram as dg
 from pferrer import macaulay as mc
-from pferrer.errors import CountOutOfRange, NotClosedUnderDivision, NotMVector
+from pferrer.errors import (
+    CountOutOfRange,
+    NotClosedUnderDivision,
+    NotMVector,
+    SizeLimitExceeded,
+)
+from pferrer.limits import Limits
 
 
 def test_is_m_vector_14341():
@@ -69,6 +75,11 @@ def test_revlex_segment_count_out_of_range():
         mc.revlex_segment(2, 2, 4)
     with pytest.raises(CountOutOfRange):
         mc.revlex_segment(2, 2, -1)
+
+
+def test_revlex_segment_lists_only_the_variables_it_needs():
+    # C(203, 4) monomials exist in 200 variables; the first one is x1^4
+    assert mc.revlex_segment(200, 4, 1) == [(4,) + (0,) * 199]
 
 
 def test_multicomplex_14341():
@@ -151,6 +162,13 @@ def test_realize_single_box():
     assert realization.diagram.to_tree() == 1
     assert realization.dual_h_vector == (1,)
     assert realization.verified
+
+
+def test_realize_box_limit_precedes_the_macaulay_check():
+    with pytest.raises(SizeLimitExceeded):
+        mc.realize_mvector((1, 2, 4), Limits(max_boxes=6))
+    with pytest.raises(NotMVector):
+        mc.realize_mvector((1, 2, 4), Limits(max_boxes=7))
 
 
 def test_realize_roundtrip_small_grid():

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -71,6 +72,42 @@ def test_homology_independent_of_vertex_labels():
     a = oc.SimplicialComplex.from_maximal_faces(4, faces)
     b = oc.SimplicialComplex.from_maximal_faces(4, relabeled)
     assert a.reduced_homology_ranks() == b.reduced_homology_ranks()
+
+
+def test_morse_homology_matches_exact_rank_random():
+    rng = random.Random(113)
+    for _ in range(150):
+        nverts = rng.randint(1, 8)
+        maximal = [
+            rng.sample(range(nverts), rng.randint(0, min(3, nverts)))
+            for _ in range(rng.randint(0, 12))
+        ]
+        faces = oc.SimplicialComplex.from_maximal_faces(nverts, maximal).faces()
+        for modulus in (None, 32003):
+            assert oc._morse_homology(faces, nverts, modulus) == oc._homology_of_faces(
+                faces, modulus
+            )
+
+
+def test_morse_homology_falls_back_only_across_dimensions(monkeypatch):
+    calls = []
+    exact = oc._homology_of_faces
+
+    def counted(faces, modulus):
+        calls.append(modulus)
+        return exact(faces, modulus)
+
+    monkeypatch.setattr(oc, "_homology_of_faces", counted)
+    # a point beside a triangle boundary: critical faces in dimensions 0 and 1
+    point_and_circle = oc.SimplicialComplex.from_maximal_faces(
+        4, [[0], [1, 2], [2, 3], [1, 3]]
+    )
+    assert point_and_circle.reduced_homology_ranks() == {0: 1, 1: 1}
+    assert len(calls) == 1
+    faces = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    sphere = oc.SimplicialComplex.from_maximal_faces(4, faces)
+    assert sphere.reduced_homology_ranks() == {2: 1}
+    assert len(calls) == 1
 
 
 # --- graded Betti numbers --------------------------------------------------
@@ -238,6 +275,20 @@ def test_truncated_matches_series_taylor():
         ideal = il.ferrer_ideal(part)
         series = sr.hilbert_series_monomial(ideal)
         assert oc.hilbert_function_truncated(ideal, 12) == series.taylor(12)
+
+
+def test_truncated_frees_its_memo_without_a_cyclic_collection():
+    ideal = il.ferrer_ideal(dg.validate(EX4322))
+    gc.collect()
+    gc.disable()
+    try:
+        oc.hilbert_function_truncated(ideal, 12)
+        left_for_the_collector = gc.collect()
+    finally:
+        gc.enable()
+    # the recursive closure alone is a cycle of a few objects; a kept memo is
+    # thousands of objects (18,861 here)
+    assert left_for_the_collector < 100
 
 
 def test_truncated_respects_degree_limit():

@@ -2,7 +2,8 @@
 
 Subcommands: report, verify, series, dual, macaulay, pure.  All output is
 JSON (report also has --text); identical inputs and flags produce identical
-bytes.  Exit codes: 2 parse/validation (a flag out of range included), 3
+bytes.  Exit codes: 2 parse/validation (a flag out of range included, and
+UnreadableFile for a diagram file or stdin that cannot be read), 3
 verification mismatch or an inconsistent report, 4 size limit (input nested
 too deeply for the interpreter's recursion limit, and an h-vector summing
 past max_boxes, included), 5 not an M-vector, 6 infeasible integrality, 141
@@ -29,6 +30,7 @@ from .errors import (
     NotMVector,
     SizeLimitExceeded,
     TooManyGenerators,
+    UnreadableFile,
     ValidationError,
 )
 from .limits import Limits
@@ -51,11 +53,18 @@ def _bad_flags(message: str) -> int:
 
 
 def _load_diagram(path: str, limits: Limits) -> dg.PFerrerPartition:
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = handle.read()
+    if path == "-" and sys.stdin is None:  # the process was started with fd 0 closed
+        raise UnreadableFile("cannot read -: stdin is closed")
+    try:
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                raw = handle.read()
+    except UnicodeDecodeError as err:
+        raise BadJSON(f"input is not UTF-8: {err}") from None
+    except OSError as err:
+        raise UnreadableFile(f"cannot read {path}: {err.strerror}") from None
     try:
         tree = json.loads(raw)
     except json.JSONDecodeError as err:
@@ -65,11 +74,10 @@ def _load_diagram(path: str, limits: Limits) -> dg.PFerrerPartition:
     return dg.validate(tree, limits)
 
 
-def _series_block(part: dg.PFerrerPartition, n: int) -> dict:
-    profile = dg.diagonal_profile(part)
-    c, sigma = profile.df, profile.sigma
-    series = sr.hilbert_series_linear(c, part.depth, sigma, n - c)
-    raw_numerator = sr.h_poly(c, part.depth) - sr.deviation_poly(sigma).shift(part.depth)
+def _series_block(profile: dg.DiagonalProfile, n: int) -> dict:
+    c, p, sigma = profile.df, profile.depth, profile.sigma
+    series = sr.hilbert_series_linear(c, p, sigma, n - c)
+    raw_numerator = sr.h_poly(c, p) - sr.deviation_poly(sigma).shift(p)
     return {
         "series": series.to_json(),
         "series_raw": {
@@ -103,7 +111,7 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
         "profile": {"s": list(profile.counts), "df": profile.df, "delta": profile.delta},
         "summary": {**summary.to_json(), "reg_ideal": reg_ideal, "reg_quotient": reg_quotient},
         "betti": table.to_json(),
-        **_series_block(part, summary.n),
+        **_series_block(profile, summary.n),
         "generators": [str(g) for g in ideal.generators],
         "minimal_primes": _sorted_primes(il.minimal_primes(ideal, limits)),
     }
@@ -268,7 +276,7 @@ def cmd_series(args, limits: Limits) -> int:
         "input": part.to_tree(),
         "c": profile.df,
         "p": part.depth,
-        **_series_block(part, iv.homological_summary(part).n),
+        **_series_block(profile, iv.homological_summary(part).n),
     }
     _emit(doc)
     return 0

@@ -26,7 +26,11 @@ class NonPositiveLeaf(ValidationError):
 
 
 class BadJSON(FerrerError):
-    """The diagram input is not JSON, or is nested too deeply to parse."""
+    """The diagram input is not UTF-8 JSON, or is nested too deeply to parse."""
+
+
+class UnreadableFile(FerrerError):
+    """The diagram file cannot be opened or read; the message names the path."""
 
 
 class DepthMismatch(FerrerError):

@@ -100,15 +100,16 @@ class MonomialIdeal:
 
     @staticmethod
     def make(gens: Iterable[Monomial], ambient: Iterable[Variable] | None = None) -> "MonomialIdeal":
+        """The ideal of ``gens`` minimalized, for lists that may not be an antichain.
+
+        Duplicates and generators divisible by another are dropped; the rest
+        go through ``_antichain_ideal``.
+        """
         unique = set(gens)
         minimal = [
             g for g in unique if not any(h != g and h.divides(g) for h in unique)
         ]
-        minimal.sort(key=monomial_key)
-        support = {v for g in minimal for v in g.support}
-        if ambient is not None:
-            support |= set(ambient)
-        return MonomialIdeal(tuple(minimal), tuple(sorted(support, key=variable_key)))
+        return _antichain_ideal(minimal, ambient or ())
 
     @property
     def is_squarefree(self) -> bool:
@@ -146,16 +147,23 @@ class MonomialIdeal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
+def _antichain_ideal(gens: Iterable[Monomial], ambient: Iterable[Variable] = ()) -> MonomialIdeal:
+    """The ideal of distinct, pairwise non-dividing ``gens`` (not checked):
+    generators in canonical order, ambient joined with their support."""
+    gens = sorted(gens, key=monomial_key)
+    support = {v for g in gens for v in g.support}
+    support.update(ambient)
+    return MonomialIdeal(tuple(gens), tuple(sorted(support, key=variable_key)))
+
+
 def ferrer_ideal(part: PFerrerPartition) -> MonomialIdeal:
     """One squarefree degree-p generator per box of the diagram.
 
     Distinct boxes give distinct squarefree monomials of one degree, which
-    already form an antichain, so ``MonomialIdeal.make``'s minimalization is
-    skipped and only the canonical sorting is done.
+    already form an antichain, so they go straight to ``_antichain_ideal``
+    without ``MonomialIdeal.make``'s minimalization.
     """
-    gens = sorted((box_monomial(b) for b in boxes(part)), key=monomial_key)
-    support = {v for g in gens for v, _ in g.factors}
-    return MonomialIdeal(tuple(gens), tuple(sorted(support, key=variable_key)))
+    return _antichain_ideal(box_monomial(b) for b in boxes(part))
 
 
 class IntersectionComponent(NamedTuple):
@@ -163,9 +171,11 @@ class IntersectionComponent(NamedTuple):
     tail: MonomialIdeal
 
     def ideal(self) -> MonomialIdeal:
+        """The linear variables beside the tail's generators: an antichain,
+        since a decomposition's tail lies in groups below the linear ones."""
         gens = [Monomial.of({v: 1}) for v in self.linear]
         gens.extend(self.tail.generators)
-        return MonomialIdeal.make(gens)
+        return _antichain_ideal(gens)
 
 
 def equal_runs(part: PFerrerPartition) -> tuple[tuple[int, int], ...]:
@@ -200,7 +210,7 @@ def intersection_decomposition(part: PFerrerPartition) -> tuple[IntersectionComp
     total = len(runs) + 1
     for j in range(1, total + 1):
         linear = tuple(v for vars_ in run_vars[: total - j] for v in vars_)
-        tail = run_tails[total - j] if j >= 2 else MonomialIdeal.make([])
+        tail = run_tails[total - j] if j >= 2 else _antichain_ideal(())
         components.append(IntersectionComponent(linear, tail))
     return tuple(components)
 
@@ -208,7 +218,14 @@ def intersection_decomposition(part: PFerrerPartition) -> tuple[IntersectionComp
 def minimal_primes(
     ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS
 ) -> frozenset[frozenset[Variable]]:
-    """Inclusion-minimal variable sets meeting the support of every generator."""
+    """Inclusion-minimal variable sets meeting the support of every generator.
+
+    Berge's transversal loop over the distinct generator masks in ascending
+    order keeps ``covers`` exactly minimal: a cover meeting the next mask g
+    is kept, one missing g grows by each bit of g, and a grown cover is
+    dropped only when it contains a kept one (grown covers are pairwise
+    incomparable, and none lies inside a kept one).
+    """
     if not ideal.is_squarefree:
         raise NotSquarefree("minimal primes require a squarefree ideal")
     variables = ideal.ambient
@@ -217,37 +234,16 @@ def minimal_primes(
             f"{len(variables)} variables exceed hitting-set limit "
             f"{limits.hitting_set_max_variables}"
         )
-    covers = _minimal_covers(tuple(sorted(set(ideal.masks()))), {})
-    covers = [
-        c for c in covers if not any(d != c and d & c == d for d in covers)
-    ]
+    covers = [0]
+    for g in sorted(set(ideal.masks())):
+        bits = [1 << i for i in range(g.bit_length()) if g >> i & 1]
+        kept = [c for c in covers if c & g]
+        grown = [c | bit for c in covers if not c & g for bit in bits]
+        covers = kept + [c for c in grown if not any(k & c == k for k in kept)]
     return frozenset(
         frozenset(variables[i] for i in range(len(variables)) if (c >> i) & 1)
         for c in covers
     )
-
-
-def _minimal_covers(masks: tuple[int, ...], memo: dict) -> list[int]:
-    """All minimal hitting sets of the bitmask family, plus possibly redundant ones."""
-    if not masks:
-        return [0]
-    if masks in memo:
-        return memo[masks]
-    pivot = min(masks, key=lambda m: m.bit_count())
-    found = set()
-    v = 0
-    rest_bits = pivot
-    while rest_bits:
-        if rest_bits & 1:
-            bit = 1 << v
-            remaining = tuple(m for m in masks if not (m & bit))
-            for cover in _minimal_covers(remaining, memo):
-                found.add(cover | bit)
-        rest_bits >>= 1
-        v += 1
-    result = [c for c in found if not any(d != c and d & c == d for d in found)]
-    memo[masks] = result
-    return result
 
 
 def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
@@ -261,4 +257,4 @@ def alexander_dual(ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS) -> Mon
         raise NotSquarefree("Alexander duality requires a squarefree ideal")
     primes = minimal_primes(ideal, limits)
     gens = [Monomial.of({v: 1 for v in prime}) for prime in primes]
-    return MonomialIdeal.make(gens, ambient=ideal.ambient)
+    return _antichain_ideal(gens, ideal.ambient)

@@ -76,6 +76,27 @@ def test_report_bad_json_exit_2(capsys, tmp_path):
     assert json.loads(out)["error"] == "BadJSON"
 
 
+@pytest.mark.parametrize(
+    "name, error",
+    [
+        ("missing.json", "UnreadableFile"),
+        (".", "UnreadableFile"),
+        ("utf16.json", "BadJSON"),
+        ("-", "UnreadableFile"),
+    ],
+)
+def test_report_unreadable_input_exit_2(capsys, tmp_path, monkeypatch, name, error):
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe[1]")
+    path = name if name == "-" else str(tmp_path / name)
+    monkeypatch.setattr(sys, "stdin", None)  # as when fd 0 is closed; files ignore it
+    code, out = run_cli(capsys, "report", path)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == error
+    if error == "UnreadableFile":
+        assert path in doc["message"]
+
+
 @pytest.mark.parametrize("depth", [500, 3000])
 def test_report_deeply_nested_json(capsys, tmp_path, depth):
     text = "[" * depth + "1" + "]" * depth

@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import reduce
 
@@ -78,7 +79,13 @@ def test_ferrer_ideal_matches_make_random():
     for _ in range(40):
         part = random_partition(rng, rng.choice([1, 2, 3, 4]))
         expected = il.MonomialIdeal.make(il.box_monomial(b) for b in dg.boxes(part))
-        assert il.ferrer_ideal(part) == expected
+        ideal = il.ferrer_ideal(part)
+        assert ideal == expected
+        dual = il.alexander_dual(ideal)
+        assert dual == il.MonomialIdeal.make(dual.generators, ambient=ideal.ambient)
+        if part.depth >= 2:
+            for c in il.intersection_decomposition(part):
+                assert c.ideal() == il.MonomialIdeal.make(c.ideal().generators)
 
 
 def test_masks_squarefree_bit_i_is_ambient_i():
@@ -229,6 +236,55 @@ def test_minimal_primes_size_equals_full_diagonal_count():
         ideal = il.ferrer_ideal(part)
         primes = il.minimal_primes(ideal)
         assert min(len(p) for p in primes) == dg.diagonal_profile(part).df
+
+
+def brute_minimal_primes(ideal):
+    """Minimal sets among all subsets of the ambient that meet every generator."""
+    supports = [frozenset(g.support) for g in ideal.generators]
+    hitting = [
+        frozenset(chosen)
+        for size in range(len(ideal.ambient) + 1)
+        for chosen in itertools.combinations(ideal.ambient, size)
+        if all(support & frozenset(chosen) for support in supports)
+    ]
+    return {h for h in hitting if not any(other < h for other in hitting)}
+
+
+def test_minimal_primes_match_brute_force_random():
+    zero = il.MonomialIdeal((), (V(1, 1), V(1, 2)))
+    unit = il.MonomialIdeal((il.MONOMIAL_ONE,), (V(1, 1),))
+    assert il.minimal_primes(zero) == {frozenset()}
+    assert il.minimal_primes(unit) == frozenset()
+    ideals = [zero, unit]
+    rng = random.Random(53)
+    for _ in range(240):
+        variables = tuple(V(1, i) for i in range(1, rng.randint(1, 10) + 1))
+        gens = [
+            M({v: 1 for v in rng.sample(variables, rng.randint(0, min(4, len(variables))))})
+            for _ in range(rng.randint(0, 8))
+        ]
+        gens += rng.sample(gens, min(2, len(gens)))  # repeated generators
+        ideals.append(il.MonomialIdeal(tuple(gens), variables))
+    for ideal in ideals:
+        assert il.minimal_primes(ideal) == brute_minimal_primes(ideal)
+
+
+@pytest.mark.parametrize(
+    "tree, limits",
+    [
+        ([[[[5] * 5] * 5] * 5] * 4, Limits()),
+        ([20] * 20, Limits(hitting_set_max_variables=40)),
+    ],
+)
+def test_minimal_primes_of_box_diagram_are_its_groups(tree, limits):
+    # a box diagram's ideal is the product of its groups' linear ideals
+    part = dg.validate(tree)
+    ideal = il.ferrer_ideal(part)
+    groups = {
+        frozenset(v for v in ideal.ambient if v.group == k)
+        for k in range(1, part.depth + 1)
+    }
+    assert il.minimal_primes(ideal, limits) == groups
 
 
 def test_minimal_primes_rejects_nonsquarefree():

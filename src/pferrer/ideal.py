@@ -103,12 +103,14 @@ class MonomialIdeal:
         """The ideal of ``gens`` minimalized, for lists that may not be an antichain.
 
         Duplicates and generators divisible by another are dropped; the rest
-        go through ``_antichain_ideal``.
+        go through ``_antichain_ideal``.  In one pass by ascending degree a
+        generator is kept unless a kept one divides it, which is exact because
+        a dropped divisor has a kept divisor of its own.
         """
-        unique = set(gens)
-        minimal = [
-            g for g in unique if not any(h != g and h.divides(g) for h in unique)
-        ]
+        minimal: list[Monomial] = []
+        for g in sorted(set(gens), key=lambda m: m.degree):
+            if not any(h.divides(g) for h in minimal):
+                minimal.append(g)
         return _antichain_ideal(minimal, ambient or ())
 
     @property

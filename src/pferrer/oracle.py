@@ -6,7 +6,10 @@ every multidegree in their lcm lattice, the homology of the upper Koszul
 simplicial complex is read off a sequential element matching (discrete Morse
 theory), with exact rank of boundary matrices as the fallback when the
 critical faces lie in more than one dimension.  Truncated Hilbert functions
-count on true exponent vectors, unpolarized.  Nothing here knows about
+count on true exponent vectors, unpolarized, variable by variable: the counts
+in every degree up to the bound are memoized per (variable, surviving
+generators), and each interval of exponents over which the surviving set is
+constant adds one sub-vector as a running sum.  Nothing here knows about
 diagrams or closed formulas, so agreement with the formula modules is a
 genuine two-route check.
 """
@@ -253,18 +256,20 @@ def _avoidance_homology(vertices: int, sets, modulus: int | None) -> dict[int, i
     if core is None:
         return {}
     core_vertices, core_sets = core
-    members = _bits(core_vertices)
-    full = (1 << len(members)) - 1
-    maximal = [full & ~_compress(s, members) for s in core_sets]
-    return _morse_homology(_submask_faces(maximal), len(members), modulus)
+    size = core_vertices.bit_count()
+    full = (1 << size) - 1
+    maximal = [full & ~_rank_bits(s, core_vertices) for s in core_sets]
+    return _morse_homology(_submask_faces(maximal), size, modulus)
 
 
-def _compress(mask: int, positions: list[int]) -> int:
-    """Renumber the bits of ``mask`` at ``positions`` to 0, 1, ... in order."""
+def _rank_bits(mask: int, within: int) -> int:
+    """Renumber the bits of ``mask``, a submask of ``within``, by their rank
+    among the bits of ``within``."""
     out = 0
-    for i, b in enumerate(positions):
-        if mask >> b & 1:
-            out |= 1 << i
+    while mask:
+        low = mask & -mask
+        out |= 1 << (within & (low - 1)).bit_count()
+        mask ^= low
     return out
 
 
@@ -356,14 +361,11 @@ def graded_betti_brute(
     entries: dict[tuple[int, int], int] = {}
     memo: dict = {}
     for alpha in _lcm_lattice(masks):
-        positions = _bits(alpha)
-        key = frozenset(_compress(g, positions) for g in masks if g & alpha == g)
+        key = frozenset(_rank_bits(g, alpha) for g in masks if g & alpha == g)
+        degree = alpha.bit_count()
         ranks = memo.get(key)
         if ranks is None:
-            ranks = memo[key] = _avoidance_homology(
-                (1 << len(positions)) - 1, key, modulus
-            )
-        degree = len(positions)
+            ranks = memo[key] = _avoidance_homology((1 << degree) - 1, key, modulus)
         for dim, value in ranks.items():
             j = dim + 2
             entries[(j, degree)] = entries.get((j, degree), 0) + value
@@ -374,7 +376,16 @@ def hilbert_function_truncated(
     ideal: MonomialIdeal, max_degree: int, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[int, ...]:
     """Dimensions of (S/I)_d for d = 0..max_degree, by counting the monomials
-    in the ambient variables divisible by no generator."""
+    in the ambient variables divisible by no generator.
+
+    ``count(i, active)`` is the vector of such counts, in every degree up to
+    ``max_degree``, over the variables i.. when only the generators in
+    ``active`` can still divide; it is memoized on that pair.  Along variable
+    i the surviving set changes only at 0 and at the generators' exponents on
+    i up to ``max_degree``, so each interval [low, high) between those levels
+    reads one sub-vector and adds it, shifted by low..high-1, as a running
+    sum.
+    """
     if max_degree > limits.truncation_max_degree:
         raise SizeLimitExceeded(
             f"degree {max_degree} exceeds truncation limit {limits.truncation_max_degree}"
@@ -384,44 +395,50 @@ def hilbert_function_truncated(
     gens = [tuple(g.exponent(v) for v in variables) for g in ideal.generators]
     if any(sum(g) == 0 for g in gens):
         return (0,) * (max_degree + 1)
-    all_active = (1 << len(gens)) - 1
-    # stay_mask[i][e]: generators whose exponent on variable i is at most e
-    stay_mask = [
+    top = max_degree + 1
+    # levels[i]: (e, generators whose exponent on variable i is at most e) for
+    # e = 0 and each such exponent up to max_degree, ascending
+    levels = [
         [
-            sum(1 << k for k, g in enumerate(gens) if g[i] <= e)
-            for e in range(max_degree + 1)
+            (e, sum(1 << k for k, g in enumerate(gens) if g[i] <= e))
+            for e in sorted({0} | {g[i] for g in gens if g[i] < top})
         ]
         for i in range(n)
     ]
     memo: dict = {}
 
-    def free_counts(i: int, budget: int) -> tuple[int, ...]:
-        remaining = n - i
-        if remaining == 0:
-            return (1,) + (0,) * budget
-        return tuple(
-            math.comb(s + remaining - 1, remaining - 1) for s in range(budget + 1)
-        )
-
-    def count(i: int, budget: int, active: int) -> tuple[int, ...]:
-        if active == 0:
-            return free_counts(i, budget)
-        if i == n:
-            return (0,) * (budget + 1)
-        key = (i, budget, active)
+    def count(i: int, active: int) -> tuple[int, ...]:
+        key = (i, active)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        total = [0] * (budget + 1)
-        for e in range(budget + 1):
-            sub = count(i + 1, budget - e, active & stay_mask[i][e])
-            for s, value in enumerate(sub):
-                total[e + s] += value
-        result = tuple(total)
+        remaining = n - i
+        if active == 0:
+            if remaining == 0:
+                result = (1,) + (0,) * max_degree
+            else:
+                result = tuple(
+                    math.comb(s + remaining - 1, remaining - 1) for s in range(top)
+                )
+        elif remaining == 0:
+            result = (0,) * top
+        else:
+            total = [0] * top
+            steps = levels[i]
+            for step, (low, stay) in enumerate(steps):
+                high = steps[step + 1][0] if step + 1 < len(steps) else top
+                sub = count(i + 1, active & stay)
+                run = 0
+                for d in range(low, top):
+                    run += sub[d - low]
+                    if d >= high:
+                        run -= sub[d - high]
+                    total[d] += run
+            result = tuple(total)
         memo[key] = result
         return result
 
-    counts = count(0, max_degree, all_active)
+    counts = count(0, (1 << len(gens)) - 1)
     # count refers to itself through its closure, so only a cyclic garbage
     # collection would otherwise free the memo
     memo.clear()

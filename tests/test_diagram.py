@@ -285,3 +285,16 @@ def test_every_lru_cache_in_the_package_is_bounded():
                 seen += 1
                 assert obj.cache_parameters()["maxsize"] is not None, f"{info.name}.{name}"
     assert seen >= 3
+
+
+def test_partition_hash_is_the_field_hash_and_equal_trees_share_the_cache():
+    part = dg.validate(EX4322)
+    assert hash(part) == hash((part.depth, part.value, part.children))
+    leaf = dg.PFerrerPartition.leaf
+    node = dg.PFerrerPartition.node
+    built = node(node(leaf(v) for v in row) for row in EX4322)
+    assert built is not part and built == part and hash(built) == hash(part)
+    first = dg.boxes(part)
+    hits = dg.boxes.cache_info().hits
+    assert dg.boxes(built) is first
+    assert dg.boxes.cache_info().hits == hits + 1

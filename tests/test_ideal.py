@@ -364,3 +364,23 @@ def test_alexander_dual_involution():
 def test_alexander_dual_rejects_nonsquarefree():
     with pytest.raises(NotSquarefree):
         il.alexander_dual(il.MonomialIdeal.make([M({V(1, 1): 2})]))
+
+
+def test_make_matches_the_quadratic_filter():
+    rng = random.Random(137)
+    variables = [V(1 + i % 2, 1 + i // 2) for i in range(5)]
+    for _ in range(300):
+        gens = [
+            M({v: rng.randint(1, 3) for v in rng.sample(variables, rng.randint(0, 3))})
+            for _ in range(rng.randint(0, 10))
+        ]
+        gens += rng.sample(gens, min(len(gens), 3))  # duplicates
+        if rng.random() < 0.1:
+            gens.append(il.MONOMIAL_ONE)
+        ambient = variables[: rng.randint(0, 5)]
+        unique = set(gens)
+        reference = [g for g in unique if not any(h != g and h.divides(g) for h in unique)]
+        support = {v for g in reference for v in g.support} | set(ambient)
+        made = il.MonomialIdeal.make(gens, ambient=ambient)
+        assert made.generators == tuple(sorted(reference, key=il.monomial_key))
+        assert made.ambient == tuple(sorted(support, key=il.variable_key))

@@ -1,10 +1,11 @@
 import gc
+import itertools
 import math
 import random
 
 import pytest
 
-from helpers import EX4322, random_partition
+from helpers import EX4322, EX54432, random_partition
 from pferrer import diagram as dg
 from pferrer import ideal as il
 from pferrer import invariants as iv
@@ -289,6 +290,45 @@ def test_truncated_frees_its_memo_without_a_cyclic_collection():
     # the recursive closure alone is a cycle of a few objects; a kept memo is
     # thousands of objects (18,861 here)
     assert left_for_the_collector < 100
+
+
+def _naive_truncated(ideal, top):
+    """Every exponent vector of degree <= top that no generator divides."""
+    variables = ideal.ambient
+    gens = [tuple(g.exponent(v) for v in variables) for g in ideal.generators]
+    counts = [0] * (top + 1)
+    for d in range(top + 1):
+        for chosen in itertools.combinations_with_replacement(range(len(variables)), d):
+            exps = [chosen.count(i) for i in range(len(variables))]
+            if not any(all(a >= b for a, b in zip(exps, g)) for g in gens):
+                counts[d] += 1
+    return tuple(counts)
+
+
+def test_truncated_matches_naive_enumeration():
+    rng = random.Random(131)
+    variables = [V(1 + i % 2, 1 + i // 2) for i in range(5)]
+    for trial in range(240):
+        ambient = variables[: rng.randint(0, 5)]
+        gens = []
+        if ambient:
+            for _ in range(rng.randint(0, 6)):
+                chosen = rng.sample(ambient, rng.randint(1, len(ambient)))
+                # exponents up to 8 reach past every max_degree drawn below
+                gens.append(M({v: rng.randint(1, 8) for v in chosen}))
+        if trial % 40 == 0:
+            gens = []  # the zero ideal
+        elif trial % 40 == 1:
+            gens.append(il.MONOMIAL_ONE)  # the unit ideal
+        ideal = il.MonomialIdeal.make(gens, ambient=ambient)
+        top = 0 if trial % 7 == 0 else rng.randint(1, 6)
+        assert oc.hilbert_function_truncated(ideal, top) == _naive_truncated(ideal, top)
+
+
+def test_truncated_example_54432_to_degree_20():
+    ideal = il.ferrer_ideal(dg.validate(EX54432))
+    series = sr.hilbert_series_monomial(ideal)
+    assert oc.hilbert_function_truncated(ideal, 20) == series.taylor(20)
 
 
 def test_truncated_respects_degree_limit():

@@ -2,8 +2,9 @@
 
 Subcommands: report, verify, series, dual, macaulay, pure.  All output is
 JSON (report also has --text); identical inputs and flags produce identical
-bytes.  Exit codes: 2 parse/validation (a flag out of range included, and
-UnreadableFile for a diagram file or stdin that cannot be read), 3
+bytes.  Exit codes: 2 parse/validation (a flag out of range, UnreadableFile
+for a diagram file or stdin that cannot be read, and BadHVector for a
+malformed or negative --h entry included), 3
 verification mismatch or an inconsistent report, 4 size limit (input nested
 too deeply for the interpreter's recursion limit, and an h-vector summing
 past max_boxes, included), 5 not an M-vector, 6 infeasible integrality, 141
@@ -308,13 +309,21 @@ def cmd_macaulay(args, limits: Limits) -> int:
     except ValueError:
         _emit({"error": "BadHVector", "message": f"cannot parse {args.h!r}"})
         return EXIT_VALIDATION
+    for index, entry in enumerate(h):
+        if entry < 0:
+            _emit({"error": "BadHVector", "message": f"h_{index} = {entry} is negative"})
+            return EXIT_VALIDATION
     try:
         realization = mc.realize_mvector(h, limits)
     except NotMVector as err:
+        if err.index == 0:
+            message = "h_0 must be 1"
+        else:
+            message = f"h_{err.index} <= {err.bound} is violated"
         _emit(
             {
                 "error": "NotMVector",
-                "message": f"h_{err.index} <= {err.bound} is violated",
+                "message": message,
                 "index": err.index,
                 "bound": err.bound,
             }

@@ -117,10 +117,6 @@ class MonomialIdeal:
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree for g in self.generators)
 
-    @property
-    def nvars(self) -> int:
-        return len(self.ambient)
-
     def contains(self, m: Monomial) -> bool:
         return any(g.divides(m) for g in self.generators)
 

@@ -42,7 +42,6 @@ class BettiTable:
 
     betti: tuple[int, ...]
     generation_degree: int
-    linear: bool = True
 
     @property
     def projdim(self) -> int:

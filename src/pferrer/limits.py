@@ -19,9 +19,6 @@ class Limits:
     series_recursion_max_generators: int = 512
     truncation_max_degree: int = 20
 
-    def replace(self, **overrides) -> "Limits":
-        return dataclasses.replace(self, **overrides)
-
     @classmethod
     def from_env(cls, environ=os.environ) -> "Limits":
         """Build defaults, overridden by a JSON object in $FERRER_LIMITS."""

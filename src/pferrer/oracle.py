@@ -1,17 +1,17 @@
 """Definition-level verification tools for monomial ideals.
 
-Graded Betti numbers are computed from scratch on the polarized generator
-bitmasks that also feed the Hilbert series (``MonomialIdeal.masks``): for
-every multidegree in their lcm lattice, the homology of the upper Koszul
-simplicial complex is read off a sequential element matching (discrete Morse
-theory), with exact rank of boundary matrices as the fallback when the
-critical faces lie in more than one dimension.  Truncated Hilbert functions
-count on true exponent vectors, unpolarized, variable by variable: the counts
-in every degree up to the bound are memoized per (variable, surviving
-generators), and each interval of exponents over which the surviving set is
-constant adds one sub-vector as a running sum.  Nothing here knows about
-diagrams or closed formulas, so agreement with the formula modules is a
-genuine two-route check.
+Graded Betti numbers over the rationals are computed from scratch on the
+polarized generator bitmasks that also feed the Hilbert series
+(``MonomialIdeal.masks``): for every multidegree in their lcm lattice, the
+homology of the upper Koszul simplicial complex is read off a sequential
+element matching (discrete Morse theory), with the exact rational rank of
+boundary matrices as the fallback when the critical faces lie in more than
+one dimension.  Truncated Hilbert functions count on true exponent vectors,
+unpolarized, variable by variable: the counts in every degree up to the
+bound are memoized per (variable, surviving generators), and each interval
+of exponents over which the surviving set is constant adds one sub-vector as
+a running sum.  Nothing here knows about diagrams or closed formulas, so
+agreement with the formula modules is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -47,75 +47,36 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _rank(columns, modulus: int | None) -> int:
-    """Rank of a sparse matrix given as columns {row: value}; exact over the
-    rationals when modulus is None, else over the prime field.
+def _rank(columns) -> int:
+    """Exact rank over the rationals of a sparse integer matrix given as
+    columns {row: value}.
 
     Pivot columns are kept with their minimal row as pivot, so reducing a
-    column strictly increases its minimal row and terminates.  Over the
-    rationals the arithmetic stays in the integers: unit pivots subtract
-    directly and non-unit pivots use cross-multiplication followed by a gcd
-    renormalization of the column.
+    column strictly increases its minimal row and terminates.  The arithmetic
+    stays in the integers, fraction-free: the column is cross-multiplied by
+    the pivot's lead, the pivot subtracted, and the result divided by the gcd
+    of its entries.
     """
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
     for raw in sorted(columns, key=len):
         col = dict(raw)
-        if modulus is not None:
-            col = {r: v % modulus for r, v in col.items() if v % modulus}
         while col:
             row = min(col)
-            lead = col[row]
             pivot = pivots.get(row)
             if pivot is None:
-                if modulus is None:
-                    if lead < 0:
-                        col = {r: -v for r, v in col.items()}
-                else:
-                    inv = pow(lead, modulus - 2, modulus)
-                    col = {r: (v * inv) % modulus for r, v in col.items()}
                 pivots[row] = col
-                rank += 1
                 break
-            factor = col.pop(row)
-            if modulus is not None:
-                for r, v in pivot.items():
-                    if r == row:
-                        continue
-                    new = (col.get(r, 0) - factor * v) % modulus
-                    if new:
-                        col[r] = new
-                    else:
-                        col.pop(r, None)
-                continue
-            pv = pivot[row]
-            if pv == 1:
-                for r, v in pivot.items():
-                    if r == row:
-                        continue
-                    new = col.get(r, 0) - factor * v
-                    if new:
-                        col[r] = new
-                    else:
-                        col.pop(r, None)
-            else:
-                scaled = {r: v * pv for r, v in col.items()}
-                for r, v in pivot.items():
-                    if r == row:
-                        continue
-                    new = scaled.get(r, 0) - factor * v
-                    if new:
-                        scaled[r] = new
-                    else:
-                        scaled.pop(r, None)
-                if scaled:
-                    g = 0
-                    for v in scaled.values():
-                        g = math.gcd(g, v)
-                    col = {r: v // g for r, v in scaled.items()}
+            lead, factor = pivot[row], col[row]
+            col = {r: v * lead for r, v in col.items()}
+            for r, v in pivot.items():
+                new = col.get(r, 0) - factor * v
+                if new:
+                    col[r] = new
                 else:
-                    col = {}
-    return rank
+                    col.pop(r, None)
+            g = math.gcd(*col.values())
+            col = {r: v // g for r, v in col.items()}
+    return len(pivots)
 
 
 def _boundary_columns(sources: list[int], target_index: dict[int, int]):
@@ -127,7 +88,7 @@ def _boundary_columns(sources: list[int], target_index: dict[int, int]):
         yield col
 
 
-def _homology_of_faces(faces: set[int], modulus: int | None) -> dict[int, int]:
+def _homology_of_faces(faces: set[int]) -> dict[int, int]:
     """Reduced homology ranks by dimension of a complex given by all its faces
     as bitmasks (the empty face included when the complex is nonvoid)."""
     if not faces:
@@ -141,7 +102,7 @@ def _homology_of_faces(faces: set[int], modulus: int | None) -> dict[int, int]:
         sources = by_size.get(size, [])
         targets = by_size.get(size - 1, [])
         index = {mask: i for i, mask in enumerate(sorted(targets))}
-        boundary_rank[size] = _rank(_boundary_columns(sorted(sources), index), modulus)
+        boundary_rank[size] = _rank(_boundary_columns(sorted(sources), index))
     ranks = {}
     for size in range(top + 1):
         h = (
@@ -154,9 +115,7 @@ def _homology_of_faces(faces: set[int], modulus: int | None) -> dict[int, int]:
     return ranks
 
 
-def _morse_homology(
-    faces: set[int], vertex_count: int, modulus: int | None
-) -> dict[int, int]:
+def _morse_homology(faces: set[int], vertex_count: int) -> dict[int, int]:
     """Reduced homology of a complex given by all its faces, by a sequential
     element matching (Forman; Jonsson, Simplicial Complexes of Graphs).
 
@@ -164,8 +123,8 @@ def _morse_homology(
     with F | v when that face is unmatched too.  The matching is acyclic, so
     the complex is homotopy equivalent to one with a cell per critical face.
     When those all have one size s, the Morse complex has zero differential
-    and the homology is their count in dimension s - 1, over the integers and
-    every field; otherwise exact rank decides.
+    and the homology is their count in dimension s - 1; otherwise exact rank
+    over the rationals decides.
     """
     critical = set(faces)
     for v in range(vertex_count):
@@ -175,47 +134,8 @@ def _morse_homology(
         critical.difference_update([f | bit for f in matched])
     sizes = {f.bit_count() for f in critical}
     if len(sizes) > 1:
-        return _homology_of_faces(faces, modulus)
+        return _homology_of_faces(faces)
     return {size - 1: len(critical) for size in sizes}
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Abstract complex on integer vertices, stored by maximal faces.
-
-    The void complex (no faces at all) and the empty complex (only the empty
-    face) are distinguished: the latter has reduced homology in dimension -1.
-    """
-
-    nvertices: int
-    maximal: tuple[int, ...]
-
-    @staticmethod
-    def from_maximal_faces(nvertices: int, faces) -> "SimplicialComplex":
-        masks = set()
-        for face in faces:
-            mask = 0
-            for v in face:
-                mask |= 1 << v
-            masks.add(mask)
-        maximal = tuple(
-            sorted(m for m in masks if not any(o != m and o & m == m for o in masks))
-        )
-        return SimplicialComplex(nvertices, maximal)
-
-    @property
-    def is_void(self) -> bool:
-        return not self.maximal
-
-    def faces(self) -> set[int]:
-        return _submask_faces(list(self.maximal))
-
-    def euler_characteristic(self) -> int:
-        """Reduced Euler characteristic (the empty face counts negatively)."""
-        return sum((-1) ** (f.bit_count() - 1) for f in self.faces())
-
-    def reduced_homology_ranks(self, modulus: int | None = None) -> dict[int, int]:
-        return _morse_homology(self.faces(), self.nvertices, modulus)
 
 
 def _strong_collapse(vertices: int, sets) -> tuple[int, list[int]] | None:
@@ -249,7 +169,7 @@ def _strong_collapse(vertices: int, sets) -> tuple[int, list[int]] | None:
         sets = [s & ~(1 << dominated) for s in sets]
 
 
-def _avoidance_homology(vertices: int, sets, modulus: int | None) -> dict[int, int]:
+def _avoidance_homology(vertices: int, sets) -> dict[int, int]:
     """Homology of the complex whose faces are the subsets of ``vertices``
     disjoint from at least one of the given sets (all bitmasks)."""
     core = _strong_collapse(vertices, sets)
@@ -259,7 +179,7 @@ def _avoidance_homology(vertices: int, sets, modulus: int | None) -> dict[int, i
     size = core_vertices.bit_count()
     full = (1 << size) - 1
     maximal = [full & ~_rank_bits(s, core_vertices) for s in core_sets]
-    return _morse_homology(_submask_faces(maximal), size, modulus)
+    return _morse_homology(_submask_faces(maximal), size)
 
 
 def _rank_bits(mask: int, within: int) -> int:
@@ -285,10 +205,8 @@ class GradedBettiTable:
             tuple((j, a, v) for (j, a), v in sorted(data.items()) if v)
         )
 
-    def beta(self, j: int, a: int | None = None) -> int:
-        if a is None:
-            return sum(v for jj, _, v in self.entries if jj == j)
-        return sum(v for jj, aa, v in self.entries if jj == j and aa == a)
+    def beta(self, j: int) -> int:
+        return sum(v for jj, _, v in self.entries if jj == j)
 
     @property
     def projdim(self) -> int:
@@ -324,11 +242,10 @@ def _lcm_lattice(masks: tuple[int, ...]) -> set[int]:
 
 
 def graded_betti_brute(
-    ideal: MonomialIdeal,
-    limits: Limits = DEFAULT_LIMITS,
-    modulus: int | None = None,
+    ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS
 ) -> GradedBettiTable:
-    """Graded Betti numbers of S/I by upper Koszul homology over the lcm lattice.
+    """Graded Betti numbers of S/I over the rationals, by upper Koszul
+    homology over the lcm lattice.
 
     Polarization (``MonomialIdeal.masks``) keeps graded Betti numbers, so
     this works on squarefree bitmasks, and ``oracle_max_variables`` counts
@@ -336,7 +253,7 @@ def graded_betti_brute(
     the subsets of alpha avoiding some generator below alpha, and
     beta_{j, alpha}(S/I) is the reduced homology rank of that complex in
     dimension j - 2, read off an element matching after strong collapse, with
-    exact rank only where the critical faces span two dimensions.  The
+    exact rational rank only where the critical faces span two dimensions.  The
     generators below alpha cover it, so the complex is fixed by them with
     alpha's bits renumbered in order; each such pattern is computed once.
     """
@@ -365,7 +282,7 @@ def graded_betti_brute(
         degree = alpha.bit_count()
         ranks = memo.get(key)
         if ranks is None:
-            ranks = memo[key] = _avoidance_homology((1 << degree) - 1, key, modulus)
+            ranks = memo[key] = _avoidance_homology((1 << degree) - 1, key)
         for dim, value in ranks.items():
             j = dim + 2
             entries[(j, degree)] = entries.get((j, degree), 0) + value

@@ -30,10 +30,6 @@ class IntPolynomial:
             coeffs.pop()
         return IntPolynomial(tuple(coeffs))
 
-    @staticmethod
-    def monomial(k: int, c: int = 1) -> "IntPolynomial":
-        return IntPolynomial.of([0] * k + [c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -245,6 +245,23 @@ def test_macaulay_rejects_non_mvector(capsys):
     assert "h_2 <= 3" in doc["message"]
 
 
+@pytest.mark.parametrize("h, index", [("1,-1", 1), ("1,2,-3", 2), ("0,-1", 1)])
+def test_macaulay_negative_entry_exit_2(capsys, h, index):
+    code, out = run_cli(capsys, "macaulay", "--h", h)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "BadHVector"
+    assert doc["message"].startswith(f"h_{index} = -")
+
+
+@pytest.mark.parametrize("h", ["0", "2,1", "0,1,1"])
+def test_macaulay_first_entry_must_be_one(capsys, h):
+    code, out = run_cli(capsys, "macaulay", "--h", h)
+    assert code == 5
+    doc = json.loads(out)
+    assert doc["index"] == 0 and doc["message"] == "h_0 must be 1"
+
+
 @pytest.mark.parametrize(
     "h, message",
     [

@@ -2,13 +2,10 @@
 
 Subcommands: report, verify, series, dual, macaulay, pure.  All output is
 JSON (report also has --text); identical inputs and flags produce identical
-bytes.  Exit codes: 2 parse/validation (a flag out of range, UnreadableFile
-for a diagram file or stdin that cannot be read, and BadHVector for a
-malformed or negative --h entry included), 3
-verification mismatch or an inconsistent report, 4 size limit (input nested
-too deeply for the interpreter's recursion limit, and an h-vector summing
-past max_boxes, included), 5 not an M-vector, 6 infeasible integrality, 141
-stdout closed by its reader.
+bytes.  Every failure, argparse's usage errors included, is a FerrerError
+printed once by ``_dispatch`` as a JSON error and exits with the code that
+``EXIT_CODES`` gives its class, 2 if none.  A failed verify check exits 3,
+and stdout closed by its reader 141.
 """
 
 from __future__ import annotations
@@ -26,31 +23,32 @@ from . import macaulay as mc
 from . import oracle as oc
 from . import series as sr
 from .errors import (
+    BadFlags,
+    BadHVector,
     BadJSON,
     FerrerError,
+    InconsistentReport,
+    Infeasible,
     NotMVector,
     SizeLimitExceeded,
     TooManyGenerators,
     UnreadableFile,
-    ValidationError,
 )
 from .limits import Limits
 
-EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
-EXIT_SIZE_LIMIT = 4
-EXIT_NOT_M_VECTOR = 5
-EXIT_INFEASIBLE = 6
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
+EXIT_CODES = {
+    InconsistentReport: EXIT_MISMATCH,
+    SizeLimitExceeded: 4,  # input nested past the interpreter's recursion limit included
+    TooManyGenerators: 4,
+    NotMVector: 5,
+    Infeasible: 6,
+}
 
 
 def _emit(document: dict) -> None:
     print(json.dumps(document, indent=2))
-
-
-def _bad_flags(message: str) -> int:
-    _emit({"error": "BadFlags", "message": message})
-    return EXIT_VALIDATION
 
 
 def _load_diagram(path: str, limits: Limits) -> dg.PFerrerPartition:
@@ -77,8 +75,8 @@ def _load_diagram(path: str, limits: Limits) -> dg.PFerrerPartition:
 
 def _series_block(profile: dg.DiagonalProfile, n: int) -> dict:
     c, p, sigma = profile.df, profile.depth, profile.sigma
-    series = sr.hilbert_series_linear(c, p, sigma, n - c)
-    raw_numerator = sr.h_poly(c, p) - sr.deviation_poly(sigma).shift(p)
+    raw_numerator = sr.linear_numerator(c, p, sigma)
+    series = sr.RationalSeries(raw_numerator, n - c)  # n >= delta, so n - c >= len(sigma)
     return {
         "series": series.to_json(),
         "series_raw": {
@@ -100,11 +98,12 @@ def _sorted_primes(primes) -> list[list[str]]:
 
 
 def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: bool) -> dict:
+    ideal = il.ferrer_ideal(part)
+    primes = _sorted_primes(il.minimal_primes(ideal, limits))  # hitting-set limit first
     profile = dg.diagonal_profile(part)
     summary = iv.homological_summary(part)
     table = iv.betti_table(part)
     reg_ideal, reg_quotient = iv.regularity(part)
-    ideal = il.ferrer_ideal(part)
     doc = {
         "input": part.to_tree(),
         "depth": part.depth,
@@ -114,7 +113,7 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
         "betti": table.to_json(),
         **_series_block(profile, summary.n),
         "generators": [str(g) for g in ideal.generators],
-        "minimal_primes": _sorted_primes(il.minimal_primes(ideal, limits)),
+        "minimal_primes": primes,
     }
     if certificate:
         cert = iv.ara_certificate(part)
@@ -166,9 +165,7 @@ def cmd_report(args, limits: Limits) -> int:
     doc = _report_document(part, limits, args.certificate)
     relation = _broken_relation(doc)
     if relation is not None:
-        message = f"the report violates {relation}"
-        _emit({"error": "InconsistentReport", "message": message, "relation": relation})
-        return EXIT_MISMATCH
+        raise InconsistentReport(relation)
     if args.text:
         print(_render_text(doc))
     else:
@@ -177,8 +174,8 @@ def cmd_report(args, limits: Limits) -> int:
 
 
 def _check_betti(part, ideal, limits) -> dict:
-    table = iv.betti_table(part)
     brute = oc.graded_betti_brute(ideal, limits)
+    table = iv.betti_table(part)
     ok = brute.totals() == table.betti and brute.is_linear(part.depth)
     result = {"name": "betti_formula_vs_oracle", "ok": ok}
     if not ok:
@@ -239,13 +236,11 @@ def _check_certificate(part, profile) -> dict:
 def _check_height_projdim(ideal, profile, limits) -> dict:
     primes = il.minimal_primes(ideal, limits)
     brute = oc.graded_betti_brute(ideal, limits)
-    ok = (
-        min(len(p) for p in primes) == profile.df
-        and brute.projdim == profile.delta
-    )
+    min_prime = min(len(p) for p in primes)
+    ok = min_prime == profile.df and brute.projdim == profile.delta
     result = {"name": "height_and_projdim", "ok": ok}
     if not ok:
-        result["min_prime"] = min(len(p) for p in primes)
+        result["min_prime"] = min_prime
         result["df"] = profile.df
         result["oracle_projdim"] = brute.projdim
         result["delta"] = profile.delta
@@ -254,7 +249,7 @@ def _check_height_projdim(ideal, profile, limits) -> dict:
 
 def cmd_verify(args, limits: Limits) -> int:
     if args.max_degree < 0:
-        return _bad_flags(f"--max-degree must be non-negative, got {args.max_degree}")
+        raise BadFlags(f"--max-degree must be non-negative, got {args.max_degree}")
     part = _load_diagram(args.path, limits)
     ideal = il.ferrer_ideal(part)
     profile = dg.diagonal_profile(part)
@@ -307,28 +302,8 @@ def cmd_macaulay(args, limits: Limits) -> int:
     try:
         h = tuple(int(chunk) for chunk in args.h.split(","))
     except ValueError:
-        _emit({"error": "BadHVector", "message": f"cannot parse {args.h!r}"})
-        return EXIT_VALIDATION
-    for index, entry in enumerate(h):
-        if entry < 0:
-            _emit({"error": "BadHVector", "message": f"h_{index} = {entry} is negative"})
-            return EXIT_VALIDATION
-    try:
-        realization = mc.realize_mvector(h, limits)
-    except NotMVector as err:
-        if err.index == 0:
-            message = "h_0 must be 1"
-        else:
-            message = f"h_{err.index} <= {err.bound} is violated"
-        _emit(
-            {
-                "error": "NotMVector",
-                "message": message,
-                "index": err.index,
-                "bound": err.bound,
-            }
-        )
-        return EXIT_NOT_M_VECTOR
+        raise BadHVector(f"cannot parse {args.h!r}") from None
+    realization = mc.realize_mvector(h, limits)
     _emit(
         {
             "h": list(h),
@@ -345,18 +320,12 @@ def cmd_macaulay(args, limits: Limits) -> int:
 def cmd_pure(args, limits: Limits) -> int:
     if args.a1 is not None:
         if args.a2 is None or args.beta0 is None:
-            return _bad_flags("--a1 requires --a2 and --beta0")
+            raise BadFlags("--a1 requires --a2 and --beta0")
         if not 0 < args.a1 < args.a2 or args.beta0 < 1:
-            return _bad_flags("need 0 < --a1 < --a2 and --beta0 >= 1")
+            raise BadFlags("need 0 < --a1 < --a2 and --beta0 >= 1")
         record = iv.pure_codim2_betti(args.a1, args.a2, args.beta0)
         if record is None:
-            _emit(
-                {
-                    "error": "Infeasible",
-                    "message": f"({args.a1}, {args.a2}) does not support integral Betti numbers",
-                }
-            )
-            return EXIT_INFEASIBLE
+            raise Infeasible(f"({args.a1}, {args.a2}) does not support integral Betti numbers")
         _emit(
             {
                 "type": [0, args.a1, args.a2],
@@ -367,9 +336,9 @@ def cmd_pure(args, limits: Limits) -> int:
         )
         return 0
     if args.c is None or args.p is None or args.alpha is None:
-        return _bad_flags("need --a1/--a2/--beta0 or --c/--p/--alpha")
+        raise BadFlags("need --a1/--a2/--beta0 or --c/--p/--alpha")
     if min(args.c, args.p, args.alpha) < 1:
-        return _bad_flags("--c, --p and --alpha must be positive")
+        raise BadFlags("--c, --p and --alpha must be positive")
     base_type = tuple([0] + [args.c + i for i in range(args.p)])
     base_betti = tuple(iv.betti_cm(args.c, args.p, j) for j in range(args.p + 1))
     scaled_type, scaled_betti = iv.scaled_resolution_type(base_type, base_betti, args.alpha)
@@ -377,8 +346,15 @@ def cmd_pure(args, limits: Limits) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's usage errors as BadFlags instead of printing and exiting."""
+
+    def error(self, message):
+        raise BadFlags(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pferrer",
         description="Staircase diagrams in p dimensions: invariants, series, verification",
     )
@@ -421,10 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = _dispatch(args)
+        code = _dispatch(argv)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -438,29 +416,19 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
 
 
-def _dispatch(args) -> int:
+def _dispatch(argv) -> int:
+    """Parse, load the limits, run the handler; print a failure's name, message and attributes."""
     try:
-        limits = Limits.from_env()
-    except (ValueError, json.JSONDecodeError) as err:
-        _emit({"error": "BadLimits", "message": str(err)})
-        return EXIT_VALIDATION
-    try:
-        return args.handler(args, limits)
-    except (SizeLimitExceeded, TooManyGenerators) as err:
-        _emit({"error": type(err).__name__, "message": str(err)})
-        return EXIT_SIZE_LIMIT
+        args = PARSER.parse_args(argv)
+        return args.handler(args, Limits.from_env())
     except RecursionError:
         # A max_depth raised in FERRER_LIMITS can admit input that the
         # recursive diagram code cannot walk within the interpreter's limit.
-        message = "input nested too deeply for the interpreter's recursion limit"
-        _emit({"error": SizeLimitExceeded.__name__, "message": message})
-        return EXIT_SIZE_LIMIT
-    except ValidationError as err:
-        _emit({"error": type(err).__name__, "message": str(err), "path": err.path})
-        return EXIT_VALIDATION
-    except FerrerError as err:
-        _emit({"error": type(err).__name__, "message": str(err)})
-        return EXIT_VALIDATION
+        err = SizeLimitExceeded("input nested too deeply for the interpreter's recursion limit")
+    except FerrerError as caught:
+        err = caught
+    _emit({"error": type(err).__name__, "message": str(err), **vars(err)})
+    return EXIT_CODES.get(type(err), 2)
 
 
 if __name__ == "__main__":

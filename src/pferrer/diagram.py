@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     DepthMismatch,
@@ -185,7 +185,7 @@ class DiagonalProfile:
         """Index of the last nonempty diagonal."""
         return len(self.counts)
 
-    @property
+    @cached_property
     def df(self) -> int:
         """Number of leading diagonals that are completely filled."""
         k = 0

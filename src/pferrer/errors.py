@@ -71,12 +71,36 @@ class NotClosedUnderDivision(FerrerError):
 
 
 class NotMVector(FerrerError):
-    """Input sequence violates the Macaulay growth bound."""
+    """Input sequence starts with h_0 != 1 or violates the Macaulay growth bound."""
 
     def __init__(self, index: int, bound: int):
-        super().__init__(f"h_{index} exceeds the Macaulay bound {bound}")
+        super().__init__("h_0 must be 1" if index == 0 else f"h_{index} <= {bound} is violated")
         self.index = index
         self.bound = bound
+
+
+class BadHVector(FerrerError):
+    """An h-vector entry is negative or cannot be parsed as an integer."""
+
+
+class BadFlags(FerrerError):
+    """Command-line arguments are missing, unknown, malformed or out of range."""
+
+
+class BadLimits(FerrerError, ValueError):
+    """$FERRER_LIMITS is not a JSON object of known non-negative integer limits."""
+
+
+class Infeasible(FerrerError):
+    """A requested pure resolution type has no integral Betti numbers."""
+
+
+class InconsistentReport(FerrerError):
+    """A report's fields break a relation the closed forms guarantee."""
+
+    def __init__(self, relation: str):
+        super().__init__(f"the report violates {relation}")
+        self.relation = relation
 
 
 class SizeLimitExceeded(FerrerError):

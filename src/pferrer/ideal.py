@@ -64,10 +64,6 @@ class Monomial:
             exps[v] = max(exps.get(v, 0), e)
         return Monomial.of(exps)
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        other_exps = dict(other.factors)
-        return Monomial.of({v: min(e, other_exps.get(v, 0)) for v, e in self.factors})
-
     def colon(self, other: "Monomial") -> "Monomial":
         """self / gcd(self, other)."""
         other_exps = dict(other.factors)

@@ -6,6 +6,8 @@ import dataclasses
 import json
 import os
 
+from .errors import BadLimits
+
 ENV_VAR = "FERRER_LIMITS"
 
 
@@ -25,16 +27,19 @@ class Limits:
         raw = environ.get(ENV_VAR)
         if not raw:
             return cls()
-        data = json.loads(raw)
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as err:
+            raise BadLimits(str(err)) from None
         if not isinstance(data, dict):
-            raise ValueError(f"{ENV_VAR} must be a JSON object")
+            raise BadLimits(f"{ENV_VAR} must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(f"unknown limit names in {ENV_VAR}: {sorted(unknown)}")
+            raise BadLimits(f"unknown limit names in {ENV_VAR}: {sorted(unknown)}")
         for name, value in data.items():
             if type(value) is not int or value < 0:
-                raise ValueError(f"{ENV_VAR}: {name} must be a non-negative integer")
+                raise BadLimits(f"{ENV_VAR}: {name} must be a non-negative integer")
         return cls(**data)
 
 

@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 from .diagram import PFerrerPartition, partition_from_boxes
 from .errors import (
+    BadHVector,
     CountOutOfRange,
     NotClosedUnderDivision,
     NotMVector,
@@ -118,9 +119,18 @@ def _check_closed(monomials: set[Exponents]) -> None:
                     )
 
 
+def _nonnegative(h) -> tuple[int, ...]:
+    """h as a tuple; its first negative entry raises BadHVector."""
+    h = tuple(h)
+    for index, entry in enumerate(h):
+        if entry < 0:
+            raise BadHVector(f"h_{index} = {entry} is negative")
+    return h
+
+
 def multicomplex_from_mvector(h) -> Multicomplex:
     """Union of the leading revlex segments, one per degree; checked for closure."""
-    h = tuple(h)
+    h = _nonnegative(h)
     check = is_m_vector(h)
     if not check.ok:
         raise NotMVector(check.index, check.bound)
@@ -153,8 +163,8 @@ class Realization:
 def realize_mvector(h, limits: Limits = DEFAULT_LIMITS) -> Realization:
     """Build the diagram realizing h as diagonal counts and verify, through the
     independent series route, that h is the h-vector of the dual quotient.
-    The diagram has sum(h) boxes, checked against ``max_boxes`` first."""
-    h = tuple(h)
+    The diagram has sum(h) boxes, checked against ``max_boxes`` once no entry is negative."""
+    h = _nonnegative(h)
     if sum(h) > limits.max_boxes:
         raise SizeLimitExceeded(f"{sum(h)} boxes exceed limit {limits.max_boxes}")
     while len(h) > 1 and h[-1] == 0:

@@ -55,9 +55,6 @@ class IntPolynomial:
             self.coefficient(k) - other.coefficient(k) for k in range(n)
         )
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:
             return ZERO
@@ -68,9 +65,6 @@ class IntPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPolynomial.of(out)
-
-    def scale(self, c: int) -> "IntPolynomial":
-        return IntPolynomial.of(c * a for a in self.coeffs)
 
     def shift(self, k: int) -> "IntPolynomial":
         """Multiply by t^k."""
@@ -210,10 +204,17 @@ def duality_identity_check(c: int, p: int) -> bool:
 
 def deviation_poly(sigma) -> IntPolynomial:
     """sum_i sigma_i (1-t)^(i-1) for sigma = (sigma_1, sigma_2, ...)."""
-    total = ZERO
-    for i, s in enumerate(sigma, start=1):
-        total = total + (ONE_MINUS_T ** (i - 1)).scale(s)
-    return total
+    return IntPolynomial.of(sigma).substitute_one_minus_t()
+
+
+def linear_numerator(c: int, p: int, sigma) -> IntPolynomial:
+    """h(c,p) - t^p deviation_poly(sigma): hilbert_series_linear's numerator, uncancelled."""
+    return h_poly(c, p) - deviation_poly(sigma).shift(p)
+
+
+def _dual_numerator(c: int, p: int, sigma) -> IntPolynomial:
+    """h(p,c) + t^c sum_i sigma_i t^(i-1): the numerator of the dual series."""
+    return h_poly(p, c) + IntPolynomial.of(sigma).shift(c)
 
 
 def hilbert_series_linear(c: int, p: int, sigma, d: int) -> RationalSeries:
@@ -222,8 +223,7 @@ def hilbert_series_linear(c: int, p: int, sigma, d: int) -> RationalSeries:
     sigma = tuple(sigma)
     if d < len(sigma):
         raise ValueError("denominator exponent smaller than deviation length")
-    numerator = h_poly(c, p) - deviation_poly(sigma).shift(p)
-    return RationalSeries(numerator, d)
+    return RationalSeries(linear_numerator(c, p, sigma), d)
 
 
 def hilbert_series_monomial(
@@ -347,17 +347,14 @@ def dual_series(c: int, p: int, sigma, n: int) -> tuple[RationalSeries, Rational
     height c, diagonal deviations sigma, in an ambient ring of dimension n."""
     sigma = tuple(sigma)
     primal = hilbert_series_linear(c, p, sigma, n - c)
-    dual_num = h_poly(p, c) + IntPolynomial.of(sigma).shift(c)
-    return primal, RationalSeries(dual_num, n - p)
+    return primal, RationalSeries(_dual_numerator(c, p, sigma), n - p)
 
 
 def betti_polynomial_relation_holds(c: int, p: int, sigma, n: int) -> bool:
     """B_{S/J}(t) == 1 - B_{S/I}(1-t) after clearing denominators to exponent n."""
     sigma = tuple(sigma)
-    primal_num = h_poly(c, p) - deviation_poly(sigma).shift(p)
-    dual_num = h_poly(p, c) + IntPolynomial.of(sigma).shift(c)
-    one_minus_primal_b = primal_num * ONE_MINUS_T**c
-    one_minus_dual_b = dual_num * ONE_MINUS_T**p
+    one_minus_primal_b = linear_numerator(c, p, sigma) * ONE_MINUS_T**c
+    one_minus_dual_b = _dual_numerator(c, p, sigma) * ONE_MINUS_T**p
     dual_b = ONE - one_minus_dual_b
     primal_b_at_one_minus_t = (ONE - one_minus_primal_b).substitute_one_minus_t()
     return dual_b == ONE - primal_b_at_one_minus_t

@@ -1,14 +1,18 @@
+import ast
 import dataclasses
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import FIXTURES
 from pferrer import cli
 from pferrer import invariants as iv
+from pferrer.errors import BadLimits
+from pferrer.limits import Limits
 
 
 def run_cli(capsys, *argv):
@@ -360,3 +364,58 @@ def test_report_consistency_across_fixture(capsys):
     assert doc["betti"]["1"] == doc["boxes"]
     assert doc["summary"]["projdim"] == doc["profile"]["delta"]
     assert len(doc["generators"]) == doc["boxes"]
+
+
+def test_limits_from_env_raises_bad_limits_a_value_error():
+    with pytest.raises(BadLimits) as caught:
+        Limits.from_env({"FERRER_LIMITS": "[1"})
+    assert isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["macaulay", "--h", "-1,0"], "argument --h: expected one argument"),
+        (["macaulay"], "the following arguments are required: --h"),
+        (["verify", "--max-degree", "x", "fixture"], "argument --max-degree: invalid int"),
+        (["report"], "the following arguments are required: path"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ],
+)
+def test_usage_error_is_json_bad_flags(capsys, argv, message):
+    argv = [str(FIXTURES / "staircase_22.json") if a == "fixture" else a for a in argv]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert list(doc) == ["error", "message"] and doc["error"] == "BadFlags"
+    assert doc["message"].startswith(message)
+
+
+def test_parser_reuse_keeps_no_state(capsys):
+    path = str(FIXTURES / "staircase_22.json")
+    run_cli(capsys, "report", "--text", path)
+    assert json.loads(run_cli(capsys, "report", path)[1])["depth"] == 2
+    run_cli(capsys, "verify", "--seed", "5", path)
+    assert json.loads(run_cli(capsys, "verify", path)[1])["seed"] == 0
+
+
+def test_error_documents_are_emitted_only_by_dispatch():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    emitters = []
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_emit"
+                and isinstance(node.args[0], ast.Dict)
+                and any(
+                    isinstance(key, ast.Constant) and key.value == "error"
+                    for key in node.args[0].keys
+                )
+            ):
+                emitters.append(function.name)
+    assert emitters == ["_dispatch"]

@@ -1,0 +1,79 @@
+"""Property tests of the CLI's failure route: whatever the argv or the bytes on
+stdin, ``main`` returns a documented exit code, prints one JSON object on
+stdout and nothing on stderr, and lets no exception escape.  ``-h``/``--help``
+(and ``--h`` outside ``macaulay``, which abbreviates ``--help``) print usage
+text and exit 0, so they are left out."""
+
+import contextlib
+import io
+import json
+import sys
+
+import pytest
+
+from helpers import FIXTURES
+from pferrer import cli
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6}
+FUZZ = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+COMMANDS = ["report", "verify", "series", "dual", "macaulay", "pure", "bogus"]
+FLAGS = [
+    "--text", "--json", "--certificate", "--max-degree", "--seed", "--h",
+    "--a1", "--a2", "--beta0", "--c", "--p", "--alpha", "--a", "--bogus",
+]
+VALUES = [
+    "0", "1", "2", "3", "5", "-1", "-3", "x", "", "-", "1,4,3,4,1", "1,2,4", "1,-1",
+    "-1,0", "0,1", "1,x", "1,99999999999", "--h=-1,0", "--max-degree=-2", "--seed=x",
+    str(FIXTURES / "staircase_22.json"),
+]
+
+
+def run_main(argv, stdin: bytes = b""):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented(argv, code, out, err):
+    assert code in DOCUMENTED_EXIT_CODES, (argv, code)
+    assert err == "", (argv, err)
+    if code == 0 and argv[0] == "report" and "--text" in argv:
+        assert out.startswith("diagram: ")
+    else:
+        assert isinstance(json.loads(out), dict), (argv, out)
+
+
+json_ish = st.one_of(
+    st.recursive(
+        st.integers(-2, 5), lambda inner: st.lists(inner, max_size=4), max_leaves=12
+    ).map(json.dumps),
+    st.text(alphabet='[]{},:"0123456789-.e tx\né', max_size=30),
+    st.integers(1, 3000).map(lambda depth: "[" * depth + "1" + "]" * depth),
+)
+
+
+@FUZZ
+@given(st.one_of(json_ish.map(str.encode), st.binary(max_size=24)))
+def test_report_on_any_stdin_ends_in_a_json_document(data):
+    argv = ["report", "-"]
+    assert_documented(argv, *run_main(argv, data))
+
+
+@FUZZ
+@given(
+    st.sampled_from(COMMANDS),
+    st.lists(st.one_of(st.sampled_from(FLAGS), st.sampled_from(VALUES)), max_size=6),
+)
+def test_any_argv_ends_in_a_json_document(command, tokens):
+    argv = [command, *(t for t in tokens if command == "macaulay" or t != "--h")]
+    assert_documented(argv, *run_main(argv))

@@ -37,7 +37,6 @@ def test_monomial_arithmetic():
     a = M({V(1, 1): 2, V(1, 2): 1})
     b = M({V(1, 1): 1, V(1, 3): 1})
     assert a.lcm(b) == M({V(1, 1): 2, V(1, 2): 1, V(1, 3): 1})
-    assert a.gcd(b) == M({V(1, 1): 1})
     assert a.colon(b) == M({V(1, 1): 1, V(1, 2): 1})
     assert M({V(1, 1): 1}).divides(a)
     assert not a.divides(b)

@@ -7,6 +7,7 @@ from helpers import HVECTOR_GENERATORS
 from pferrer import diagram as dg
 from pferrer import macaulay as mc
 from pferrer.errors import (
+    BadHVector,
     CountOutOfRange,
     NotClosedUnderDivision,
     NotMVector,
@@ -169,6 +170,30 @@ def test_realize_box_limit_precedes_the_macaulay_check():
         mc.realize_mvector((1, 2, 4), Limits(max_boxes=6))
     with pytest.raises(NotMVector):
         mc.realize_mvector((1, 2, 4), Limits(max_boxes=7))
+
+
+@pytest.mark.parametrize(
+    "h, message", [((1, -1), "h_1 = -1 is negative"), ((1, 2, -3), "h_2 = -3 is negative")]
+)
+def test_realize_rejects_a_negative_entry(h, message):
+    with pytest.raises(BadHVector, match=f"^{message}$"):
+        mc.realize_mvector(h)
+    with pytest.raises(BadHVector, match=f"^{message}$"):
+        mc.multicomplex_from_mvector(h)
+
+
+def test_realize_negative_check_precedes_the_box_limit():
+    with pytest.raises(BadHVector, match="^h_2 = -1 is negative$"):
+        mc.realize_mvector((1, 99_999_999_999, -1))
+
+
+@pytest.mark.parametrize(
+    "h, message",
+    [((0,), "h_0 must be 1"), ((2, 1), "h_0 must be 1"), ((1, 2, 4), "h_2 <= 3 is violated")],
+)
+def test_not_mvector_message(h, message):
+    with pytest.raises(NotMVector, match=f"^{message}$"):
+        mc.realize_mvector(h)
 
 
 def test_realize_roundtrip_small_grid():

@@ -25,6 +25,16 @@ def test_polynomial_basics():
     assert a.shift(2).coeffs == (0, 0, 1, 2, 3)
 
 
+def test_deviation_poly_matches_the_term_by_term_sum():
+    rng = random.Random(7)
+    for _ in range(200):
+        sigma = [rng.randint(0, 9) for _ in range(rng.randint(0, 12))]
+        expected = sr.ZERO
+        for i, s in enumerate(sigma, start=1):
+            expected = expected + sr.ONE_MINUS_T ** (i - 1) * P([s])
+        assert sr.deviation_poly(sigma) == expected, sigma
+
+
 def test_polynomial_division_by_one_minus_t():
     quotient = P([1, 2, 3, -6]).divide_by_one_minus_t()
     assert quotient == P([1, 3, 6])

@@ -157,6 +157,18 @@ def _render_text(doc: dict) -> str:
         f"minimal primes ({len(doc['minimal_primes'])}):",
     ]
     lines.extend("  (" + ", ".join(p) + ")" for p in doc["minimal_primes"])
+    if "certificate" in doc:
+        cert = doc["certificate"]
+        lines.append(f"ara certificate: {len(cert['classes'])} classes")
+        lines.extend(
+            f"  K_{k}: {', '.join(cls)}" for k, cls in enumerate(cert["classes"], start=1)
+        )
+        lines.append(f"witnesses ({len(cert['witnesses'])}):")
+        lines.extend(
+            f"  {w['pair'][0]} * {w['pair'][1]} divisible by {w['witness_monomial']}"
+            f" in K_{w['witness_class']}"
+            for w in cert["witnesses"]
+        )
     return "\n".join(lines)
 
 
@@ -347,7 +359,12 @@ def cmd_pure(args, limits: Limits) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises argparse's usage errors as BadFlags instead of printing and exiting."""
+    """Raises argparse's usage errors as BadFlags instead of printing and exiting.
+    Option prefixes are not expanded (subparsers are built with the same
+    class), so ``--h`` outside ``macaulay`` is a usage error, not ``--help``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise BadFlags(message)

@@ -209,6 +209,15 @@ def intersection_decomposition(part: PFerrerPartition) -> tuple[IntersectionComp
     return tuple(components)
 
 
+def _check_hitting_set(variable_count: int, limits: Limits) -> None:
+    """The hitting-set limit on the ambient variables of ``minimal_primes``."""
+    if variable_count > limits.hitting_set_max_variables:
+        raise SizeLimitExceeded(
+            f"{variable_count} variables exceed hitting-set limit "
+            f"{limits.hitting_set_max_variables}"
+        )
+
+
 def minimal_primes(
     ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS
 ) -> frozenset[frozenset[Variable]]:
@@ -223,11 +232,7 @@ def minimal_primes(
     if not ideal.is_squarefree:
         raise NotSquarefree("minimal primes require a squarefree ideal")
     variables = ideal.ambient
-    if len(variables) > limits.hitting_set_max_variables:
-        raise SizeLimitExceeded(
-            f"{len(variables)} variables exceed hitting-set limit "
-            f"{limits.hitting_set_max_variables}"
-        )
+    _check_hitting_set(len(variables), limits)
     covers = [0]
     for g in sorted(set(ideal.masks())):
         bits = [1 << i for i in range(g.bit_length()) if g >> i & 1]

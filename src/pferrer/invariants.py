@@ -33,6 +33,8 @@ def betti_cm(c: int, p: int, j: int) -> int:
         raise ValueError("j must be nonnegative")
     if j == 0:
         return 1
+    if j > c:
+        return 0
     return math.comb(c + p - 1, j + p - 1) * math.comb(j + p - 2, p - 1)
 
 

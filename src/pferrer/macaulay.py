@@ -17,7 +17,7 @@ from .errors import (
     NotMVector,
     SizeLimitExceeded,
 )
-from .ideal import MonomialIdeal, alexander_dual, ferrer_ideal
+from .ideal import MonomialIdeal, _check_hitting_set, alexander_dual, ferrer_ideal
 from .limits import DEFAULT_LIMITS, Limits
 from .series import h_vector, hilbert_series_monomial
 
@@ -163,13 +163,17 @@ class Realization:
 def realize_mvector(h, limits: Limits = DEFAULT_LIMITS) -> Realization:
     """Build the diagram realizing h as diagonal counts and verify, through the
     independent series route, that h is the h-vector of the dual quotient.
-    The diagram has sum(h) boxes, checked against ``max_boxes`` once no entry is negative."""
+    The diagram has sum(h) boxes, checked against ``max_boxes`` once no entry
+    is negative.  Its ideal has one variable per value of each box coordinate,
+    (largest exponent + 1) per multicomplex variable, checked against the
+    dual's hitting-set limit before the diagram is built."""
     h = _nonnegative(h)
     if sum(h) > limits.max_boxes:
         raise SizeLimitExceeded(f"{sum(h)} boxes exceed limit {limits.max_boxes}")
     while len(h) > 1 and h[-1] == 0:
         h = h[:-1]
     mc = multicomplex_from_mvector(h)
+    _check_hitting_set(sum(map(max, zip(*mc.monomials))) + mc.nvars, limits)
     diagram = diagram_from_multicomplex(mc)
     ideal = ferrer_ideal(diagram)
     dual = alexander_dual(ideal, limits)

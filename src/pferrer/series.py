@@ -9,8 +9,10 @@ they were produced at different denominator exponents.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import NotPLinearShape, TooManyGenerators
 from .ideal import MonomialIdeal
@@ -31,29 +33,18 @@ class IntPolynomial:
         return IntPolynomial(tuple(coeffs))
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial.of(
-            self.coefficient(k) + other.coefficient(k) for k in range(n)
-        )
+        out = list(self.coeffs)
+        _add_into(out, other.coeffs)
+        return IntPolynomial.of(out)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial.of(
-            self.coefficient(k) - other.coefficient(k) for k in range(n)
-        )
+        out = list(self.coeffs)
+        _add_into(out, [-c for c in other.coeffs])
+        return IntPolynomial.of(out)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:
@@ -78,40 +69,20 @@ class IntPolynomial:
             result = result * self
         return result
 
-    def __call__(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
     def substitute_one_minus_t(self) -> "IntPolynomial":
-        """The polynomial P(1 - t)."""
-        result = ZERO
+        """The polynomial P(1 - t), as R(-t) for R(t) = P(1 + t): Horner in
+        place, each step multiplying by (1 + t), that is adding t times itself."""
+        out: list[int] = []
         for c in reversed(self.coeffs):
-            result = result * ONE_MINUS_T + IntPolynomial.of([c])
-        return result
+            _add_into(out, out[:], 1)
+            _add_into(out, (c,))
+        return IntPolynomial.of(-c if k % 2 else c for k, c in enumerate(out))
 
     def divide_by_one_minus_t(self) -> "IntPolynomial | None":
         """Exact quotient by (1 - t), or None when (1 - t) does not divide."""
-        if self.is_zero:
-            return self
-        if self(1) != 0:
+        if sum(self.coeffs) != 0:
             return None
-        out = []
-        running = 0
-        for c in self.coeffs[:-1]:
-            running += c
-            out.append(running)
-        return IntPolynomial.of(out)
-
-    def divisible_by_t_power(self, k: int) -> bool:
-        return all(self.coefficient(i) == 0 for i in range(k))
-
-    def shift_down(self, k: int) -> "IntPolynomial":
-        """Exact division by t^k."""
-        if not self.divisible_by_t_power(k):
-            raise ValueError(f"not divisible by t^{k}")
-        return IntPolynomial.of(self.coeffs[k:])
+        return IntPolynomial.of(accumulate(self.coeffs[:-1]))
 
     def pretty(self, var: str = "t") -> str:
         if self.is_zero:
@@ -132,6 +103,13 @@ class IntPolynomial:
             else:
                 parts.append(f"{sign}{term}")
         return "".join(parts)
+
+
+def _add_into(out: list[int], coeffs, at: int = 0) -> None:
+    """out += t^at * coeffs, in place, growing out as needed."""
+    end = at + len(coeffs)
+    out.extend([0] * (end - len(out)))
+    out[at:end] = map(operator.add, out[at:end], coeffs)
 
 
 ZERO = IntPolynomial(())
@@ -163,14 +141,11 @@ class RationalSeries:
         num, d = self.numerator, self.denom_exponent
         if d < 0:
             num, d = num * ONE_MINUS_T ** (-d), 0
-        out = []
-        for k in range(degree + 1):
-            total = 0
-            for i in range(min(k, num.degree) + 1):
-                c = num.coefficient(i)
-                if c:
-                    total += c * (math.comb(d - 1 + k - i, k - i) if d > 0 else (k == i))
-            out.append(total)
+        size = max(degree + 1, 0)
+        out = list(num.coeffs[:size])
+        out += [0] * (size - len(out))
+        for _ in range(d):  # a prefix sum multiplies by 1/(1 - t), truncated at t^size
+            out = list(accumulate(out))
         return tuple(out)
 
     def pretty(self) -> str:
@@ -198,7 +173,7 @@ def duality_identity_check(c: int, p: int) -> bool:
     """Exact check of 1 - h(c,p)(1-t) t^c == h(p,c)(t) (1-t)^p and the mod-t^p congruence."""
     lhs = ONE - h_poly(c, p).substitute_one_minus_t().shift(c)
     rhs = h_poly(p, c) * ONE_MINUS_T**p
-    congruence = (h_poly(c, p) * ONE_MINUS_T**c - ONE).divisible_by_t_power(p)
+    congruence = not any((h_poly(c, p) * ONE_MINUS_T**c - ONE).coeffs[:p])
     return lhs == rhs and congruence
 
 
@@ -268,11 +243,6 @@ def _numerator_splitting(gens: frozenset[int]) -> tuple[int, ...]:
     out = [0]
     shift = 0  # K(original gens) = out + t^shift * K(gens)
 
-    def add(coeffs, at):
-        out.extend([0] * (at + len(coeffs) - len(out)))
-        for i, c in enumerate(coeffs, start=at):
-            out[i] += c
-
     while gens and 0 not in gens:
         common = -1
         union = total = 0
@@ -282,7 +252,7 @@ def _numerator_splitting(gens: frozenset[int]) -> tuple[int, ...]:
             total += g.bit_count()
         if common:
             degree = common.bit_count()
-            add((1,) + (0,) * (degree - 1) + (-1,), shift)
+            _add_into(out, (1,) + (0,) * (degree - 1) + (-1,), shift)
             shift += degree
             gens = frozenset(g ^ common for g in gens)
         elif total == union.bit_count():
@@ -291,14 +261,14 @@ def _numerator_splitting(gens: frozenset[int]) -> tuple[int, ...]:
                 d = g.bit_count()
                 for i in range(total, d - 1, -1):
                     product[i] -= product[i - d]
-            add(product, shift)
+            _add_into(out, product, shift)
             break
         else:
             pivot = _most_frequent_bit(gens)
             without = frozenset(g for g in gens if not g & pivot)
             rest = _numerator_splitting(without)
-            add(rest, shift)
-            add([-c for c in rest], shift + 1)
+            _add_into(out, rest, shift)
+            _add_into(out, [-c for c in rest], shift + 1)
             shift += 1
             reduced = [g ^ pivot for g in gens if g & pivot]
             gens = frozenset(
@@ -306,7 +276,7 @@ def _numerator_splitting(gens: frozenset[int]) -> tuple[int, ...]:
             )
     else:
         if not gens:  # else a zero mask is left: the unit ideal, whose K is 0
-            add((1,), shift)
+            _add_into(out, (1,), shift)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -331,11 +301,11 @@ def extract_s_vector(series: RationalSeries, c: int, p: int) -> tuple[int, ...]:
     nonnegative coefficients.
     """
     excess = h_poly(c, p) - series.numerator
-    if not excess.divisible_by_t_power(p):
+    if any(excess.coeffs[:p]):
         raise NotPLinearShape(
             f"numerator does not match the height-{c} degree-{p} shape below degree {p}"
         )
-    rewritten = excess.shift_down(p).substitute_one_minus_t()
+    rewritten = IntPolynomial(excess.coeffs[p:]).substitute_one_minus_t()
     sigma = rewritten.coeffs
     if any(s < 0 for s in sigma):
         raise NotPLinearShape("negative diagonal count under the basis change")

@@ -63,6 +63,23 @@ def test_report_certificate_flag(capsys):
     assert doc["certificate"]["witnesses"][0]["witness_monomial"] == "x2_1*x1_1"
 
 
+def test_report_text_certificate(capsys):
+    path = str(FIXTURES / "staircase_22.json")
+    code, plain = run_cli(capsys, "report", "--text", path)
+    assert code == 0 and "certificate" not in plain
+    code, out = run_cli(capsys, "report", "--text", "--certificate", path)
+    assert code == 0
+    assert out.startswith(plain.rstrip("\n") + "\n")
+    assert out[len(plain) - 1 :].splitlines()[1:] == [
+        "ara certificate: 3 classes",
+        "  K_1: x2_1*x1_1",
+        "  K_2: x2_2*x1_1, x2_1*x1_2",
+        "  K_3: x2_2*x1_2",
+        "witnesses (1):",
+        "  x2_2*x1_1 * x2_1*x1_2 divisible by x2_1*x1_1 in K_1",
+    ]
+
+
 @pytest.mark.parametrize("command", ["report", "verify", "series", "dual"])
 def test_report_validation_error_exit_2(capsys, tmp_path, command):
     code, out = run_cli(capsys, command, write_diagram(tmp_path, [[1], [2]]))
@@ -272,6 +289,7 @@ def test_macaulay_first_entry_must_be_one(capsys, h):
         ("1,30,465,4960,40920", "46376 boxes exceed limit 10000"),
         ("1,99999999999", "100000000000 boxes exceed limit 10000"),
         ("1,200,1,1,1", "403 variables exceed hitting-set limit 30"),
+        ("1,600,1", "1201 variables exceed hitting-set limit 30"),
     ],
 )
 def test_macaulay_oversized_exit_4(capsys, h, message):
@@ -380,6 +398,9 @@ def test_limits_from_env_raises_bad_limits_a_value_error():
         (["verify", "--max-degree", "x", "fixture"], "argument --max-degree: invalid int"),
         (["report"], "the following arguments are required: path"),
         (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["report", "--h", "x"], "unrecognized arguments: --h"),
+        (["verify", "--he", "x"], "unrecognized arguments: --he"),
+        (["verify", "--max", "3", "fixture"], "unrecognized arguments: --max"),
     ],
 )
 def test_usage_error_is_json_bad_flags(capsys, argv, message):

@@ -16,6 +16,9 @@ def test_betti_cm_small_values():
     assert iv.betti_cm(2, 2, 1) == 3
     assert iv.betti_cm(2, 2, 2) == 2
     assert iv.betti_cm(2, 2, 3) == 0
+    # zero beyond j = c, also where the second binomial would be huge
+    assert iv.betti_cm(3, 8000, 3) == math.comb(8001, 2)
+    assert all(iv.betti_cm(3, 8000, j) == 0 for j in (4, 5, 8000))
 
 
 def test_betti_cm_is_binomial_for_linear_ideals():

@@ -172,6 +172,23 @@ def test_realize_box_limit_precedes_the_macaulay_check():
         mc.realize_mvector((1, 2, 4), Limits(max_boxes=7))
 
 
+@pytest.mark.parametrize("h", [(1,), (1, 1, 1), (1, 3, 6), (1, 4, 3, 4, 1), (1, 3, 2, 1, 1)])
+def test_realize_variable_count_is_the_ideals(h):
+    n = len(mc.realize_mvector(h).ideal.ambient)
+    assert mc.realize_mvector(h, Limits(hitting_set_max_variables=n)).verified
+    with pytest.raises(SizeLimitExceeded, match=f"^{n} variables exceed hitting-set limit {n - 1}$"):
+        mc.realize_mvector(h, Limits(hitting_set_max_variables=n - 1))
+
+
+def test_realize_variable_limit_precedes_the_build(monkeypatch):
+    def unreachable(_):
+        raise AssertionError("diagram built before the variable count was checked")
+
+    monkeypatch.setattr(mc, "diagram_from_multicomplex", unreachable)
+    with pytest.raises(SizeLimitExceeded, match="^1201 variables exceed hitting-set limit 30$"):
+        mc.realize_mvector((1, 600, 1))
+
+
 @pytest.mark.parametrize(
     "h, message", [((1, -1), "h_1 = -1 is negative"), ((1, 2, -3), "h_2 = -3 is negative")]
 )

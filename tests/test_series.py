@@ -20,9 +20,82 @@ def test_polynomial_basics():
     assert (a + b).coeffs == (1, 3, 3)
     assert (a - a).is_zero
     assert (a * b).coeffs == (0, 1, 2, 3)
-    assert a(2) == 1 + 4 + 12
+    assert sum(a.coeffs) == 1 + 2 + 3
     assert P([0, 0, 1, 0]).coeffs == (0, 0, 1)
     assert a.shift(2).coeffs == (0, 0, 1, 2, 3)
+
+
+def _add_by_lookup(a, b, sign=1):
+    """a + sign * b, one coefficient lookup per index."""
+    def at(poly, k):
+        return poly.coeffs[k] if k < len(poly.coeffs) else 0
+
+    n = max(len(a.coeffs), len(b.coeffs))
+    return P(at(a, k) + sign * at(b, k) for k in range(n))
+
+
+def _substitute_by_objects(poly):
+    """P(1 - t) by Horner, one new polynomial per step."""
+    result = sr.ZERO
+    for c in reversed(poly.coeffs):
+        result = _add_by_lookup(result * sr.ONE_MINUS_T, P([c]))
+    return result
+
+
+def _divide_by_value_at_one(poly):
+    if poly.is_zero:
+        return poly
+    if sum(poly.coeffs) != 0:
+        return None
+    running, out = 0, []
+    for c in poly.coeffs[:-1]:
+        running += c
+        out.append(running)
+    return P(out)
+
+
+def _taylor_by_binomials(series, degree):
+    num, d = series.numerator, series.denom_exponent
+    if d < 0:
+        num, d = num * sr.ONE_MINUS_T ** (-d), 0
+    out = []
+    for k in range(degree + 1):
+        total = 0
+        for i in range(min(k, len(num.coeffs) - 1) + 1):
+            total += num.coeffs[i] * (math.comb(d - 1 + k - i, k - i) if d > 0 else (k == i))
+        out.append(total)
+    return tuple(out)
+
+
+def test_list_kernel_matches_object_per_step_arithmetic():
+    rng = random.Random(71)
+    polys = [sr.ZERO, sr.ONE, sr.ONE_MINUS_T, P([0, 0, 1])]
+    polys += [
+        P(rng.randint(-9, 9) for _ in range(rng.randint(0, 40))) for _ in range(150)
+    ]
+    for a in polys:
+        b = rng.choice(polys)
+        assert a + b == _add_by_lookup(a, b), (a, b)
+        assert a - b == _add_by_lookup(a, b, -1), (a, b)
+        assert a.substitute_one_minus_t() == _substitute_by_objects(a), a
+        multiple = a * sr.ONE_MINUS_T
+        assert a.divide_by_one_minus_t() == _divide_by_value_at_one(a), a
+        assert multiple.divide_by_one_minus_t() == _divide_by_value_at_one(multiple), a
+        series = sr.RationalSeries(a, rng.randint(-4, 12))
+        degree = rng.randint(-2, 20)
+        assert series.taylor(degree) == _taylor_by_binomials(series, degree), (series, degree)
+
+
+def test_extract_s_vector_on_a_long_profile():
+    part = dg.validate([1500])
+    profile = dg.diagonal_profile(part)
+    ideal = il.ferrer_ideal(part)
+    series = sr.hilbert_series_linear(
+        profile.df, part.depth, profile.sigma, len(ideal.ambient) - profile.df
+    )
+    limits = Limits(series_recursion_max_generators=len(ideal.generators))
+    assert series == sr.hilbert_series_monomial(ideal, limits)
+    assert sr.extract_s_vector(series, profile.df, part.depth) == profile.sigma
 
 
 def test_deviation_poly_matches_the_term_by_term_sum():

@@ -4,8 +4,8 @@ Subcommands: report, verify, series, dual, macaulay, pure.  All output is
 JSON (report also has --text); identical inputs and flags produce identical
 bytes.  Every failure, argparse's usage errors included, is a FerrerError
 printed once by ``_dispatch`` as a JSON error and exits with the code that
-``EXIT_CODES`` gives its class, 2 if none.  A failed verify check exits 3,
-and stdout closed by its reader 141.
+``EXIT_CODES`` gives its class, 2 if none.  A failed verify check or an
+inconsistent result exits 3, and stdout closed by its reader 141.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (
     BadFlags,
     BadHVector,
     BadJSON,
+    CertificateFailure,
     FerrerError,
     InconsistentReport,
     Infeasible,
@@ -40,6 +41,7 @@ EXIT_MISMATCH = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 EXIT_CODES = {
     InconsistentReport: EXIT_MISMATCH,
+    CertificateFailure: EXIT_MISMATCH,
     SizeLimitExceeded: 4,  # input nested past the interpreter's recursion limit included
     TooManyGenerators: 4,
     NotMVector: 5,
@@ -89,17 +91,9 @@ def _series_block(profile: dg.DiagonalProfile, n: int) -> dict:
     }
 
 
-def _sorted_primes(primes) -> list[list[str]]:
-    keyed = sorted(
-        (tuple(sorted(p, key=il.variable_key)) for p in primes),
-        key=lambda prime: tuple(il.variable_key(v) for v in prime),
-    )
-    return [[str(v) for v in prime] for prime in keyed]
-
-
 def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: bool) -> dict:
     ideal = il.ferrer_ideal(part)
-    primes = _sorted_primes(il.minimal_primes(ideal, limits))  # hitting-set limit first
+    dual = il.alexander_dual(ideal, limits)  # hitting-set limit first
     profile = dg.diagonal_profile(part)
     summary = iv.homological_summary(part)
     table = iv.betti_table(part)
@@ -113,7 +107,7 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
         "betti": table.to_json(),
         **_series_block(profile, summary.n),
         "generators": [str(g) for g in ideal.generators],
-        "minimal_primes": primes,
+        "minimal_primes": [[str(v) for v in g.support] for g in dual.generators],
     }
     if certificate:
         cert = iv.ara_certificate(part)

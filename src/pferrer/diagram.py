@@ -66,13 +66,15 @@ def validate(tree, limits: Limits = DEFAULT_LIMITS) -> PFerrerPartition:
     """Check a raw nested integer tree and wrap it; never reorders the input.
 
     Errors carry the JSON-path of the offending node, e.g. "$[1][0]".  The
-    nesting depth is checked before anything recurses over the tree.
+    nesting depth is checked before anything recurses over the tree.  One
+    depth-first walk checks a node (uniform depth, then each child dominated
+    by its left sibling) after its children, left to right, and reports the
+    first fault it meets: ``[[1, 2], 0]`` fails at ``$[0][1]``, not ``$[1]``.
     """
     depth = _nesting_depth(tree)
     if depth > limits.max_depth:
         raise SizeLimitExceeded(f"depth {depth} exceeds limit {limits.max_depth}")
     part = _build(tree, "$")
-    _check_decreasing(part, "$")
     count = box_count(part)
     if count > limits.max_boxes:
         raise SizeLimitExceeded(f"{count} boxes exceed limit {limits.max_boxes}")
@@ -105,20 +107,13 @@ def _build(tree, path: str) -> PFerrerPartition:
         depths = {child.depth for child in children}
         if len(depths) != 1:
             raise NonUniformDepth("children have mixed depths", path)
+        for i in range(1, len(children)):
+            if not _ge(children[i - 1], children[i]):
+                raise NotDecreasing(
+                    f"child {i} is not dominated by child {i - 1}", f"{path}[{i}]"
+                )
         return PFerrerPartition.node(children)
     raise NonUniformDepth(f"expected integer or list, got {type(tree).__name__}", path)
-
-
-def _check_decreasing(part: PFerrerPartition, path: str) -> None:
-    if part.is_leaf:
-        return
-    for i, child in enumerate(part.children):
-        _check_decreasing(child, f"{path}[{i}]")
-    for i in range(len(part.children) - 1):
-        if not _ge(part.children[i], part.children[i + 1]):
-            raise NotDecreasing(
-                f"child {i + 1} is not dominated by child {i}", f"{path}[{i + 1}]"
-            )
 
 
 def _ge(a: PFerrerPartition, b: PFerrerPartition) -> bool:
@@ -259,8 +254,5 @@ def remove_last_diagonal_box(part: PFerrerPartition) -> tuple[PFerrerPartition, 
     all_boxes = boxes(part)
     if len(all_boxes) < 2:
         raise SingletonDiagram("cannot remove the only box")
-    delta = diagonal_profile(part).delta
-    removed = max(b for b in all_boxes if diagonal_index(b) == delta)
-    rest = set(all_boxes)
-    rest.remove(removed)
-    return partition_from_boxes(rest, part.depth), removed
+    removed = max(all_boxes, key=lambda b: (diagonal_index(b), b))
+    return partition_from_boxes(all_boxes - {removed}, part.depth), removed

@@ -251,9 +251,8 @@ def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
 
 
 def alexander_dual(ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS) -> MonomialIdeal:
-    """Squarefree dual: one generator per minimal prime; an involution."""
-    if not ideal.is_squarefree:
-        raise NotSquarefree("Alexander duality requires a squarefree ideal")
+    """Squarefree dual: one generator per minimal prime; an involution.
+    ``minimal_primes`` raises NotSquarefree for any other ideal."""
     primes = minimal_primes(ideal, limits)
-    gens = [Monomial.of({v: 1 for v in prime}) for prime in primes]
+    gens = [Monomial(tuple((v, 1) for v in sorted(p, key=variable_key))) for p in primes]
     return _antichain_ideal(gens, ideal.ambient)

@@ -49,9 +49,10 @@ def macaulay_bound(a: int, i: int) -> int:
 
 
 def is_m_vector(h) -> MVectorCheck:
-    """Macaulay growth test; reports the first violating index and its bound."""
-    h = tuple(h)
-    if not h or h[0] != 1 or any(entry < 0 for entry in h):
+    """Macaulay growth test; reports the first violating index and its bound
+    (0 and 1 when h_0 is not 1).  A negative entry raises BadHVector."""
+    h = _nonnegative(h)
+    if not h or h[0] != 1:
         return MVectorCheck(False, 0, 1)
     for i in range(1, len(h) - 1):
         bound = macaulay_bound(h[i], i)
@@ -130,7 +131,6 @@ def _nonnegative(h) -> tuple[int, ...]:
 
 def multicomplex_from_mvector(h) -> Multicomplex:
     """Union of the leading revlex segments, one per degree; checked for closure."""
-    h = _nonnegative(h)
     check = is_m_vector(h)
     if not check.ok:
         raise NotMVector(check.index, check.bound)

@@ -231,31 +231,24 @@ def _numerator_splitting(gens: frozenset[int]) -> tuple[int, ...]:
 
     Each round of the loop either ends in a closed form or replaces I by a
     colon ideal, so only the "without x" branch recurses, on strictly fewer
-    generators:
+    generators.  Three rules:
 
-    - no generators: 1;
-    - the unit ideal: 0;
-    - a common factor c of degree d: (1 - t^d) + t^d K(I/c);
+    - no generators: 1; the unit ideal: 0;
     - pairwise coprime generators: the product of (1 - t^deg g);
-    - otherwise, for the most frequent variable x (highest bit on ties):
-      K(I) = (1 - t) K(generators without x) + t K(I : x).
+    - otherwise Bigatti's pivot on the most frequent variable x (highest bit
+      on ties): K(I) = (1 - t) K(generators without x) + t K(I : x).  A
+      factor of degree d in every generator takes d pivots, with nothing
+      left without x, adding (1 - t)(1 + t + ... + t^(d-1)) = 1 - t^d.
     """
     out = [0]
     shift = 0  # K(original gens) = out + t^shift * K(gens)
 
     while gens and 0 not in gens:
-        common = -1
         union = total = 0
         for g in gens:
-            common &= g
             union |= g
             total += g.bit_count()
-        if common:
-            degree = common.bit_count()
-            _add_into(out, (1,) + (0,) * (degree - 1) + (-1,), shift)
-            shift += degree
-            gens = frozenset(g ^ common for g in gens)
-        elif total == union.bit_count():
+        if total == union.bit_count():
             product = [1] + [0] * total
             for g in gens:
                 d = g.bit_count()

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -87,6 +88,14 @@ def test_report_validation_error_exit_2(capsys, tmp_path, command):
     doc = json.loads(out)
     assert doc["error"] == "NotDecreasing"
     assert doc["path"] == "$[1]"
+
+
+def test_validation_reports_the_first_fault_depth_first(capsys, tmp_path):
+    # the dominance fault inside $[0] is reached before the zero leaf at $[1]
+    code, out = run_cli(capsys, "report", write_diagram(tmp_path, [[1, 2], 0]))
+    assert code == 2
+    doc = json.loads(out)
+    assert (doc["error"], doc["path"]) == ("NotDecreasing", "$[0][1]")
 
 
 def test_report_bad_json_exit_2(capsys, tmp_path):
@@ -229,6 +238,20 @@ def test_verify_oversized_exit_4(capsys, tmp_path):
     code, out = run_cli(capsys, "verify", write_diagram(tmp_path, tree))
     assert code == 4
     assert json.loads(out)["error"] == "SizeLimitExceeded"
+
+
+@pytest.mark.parametrize("argv", [["report", "--certificate", "-"], ["verify", "-"]])
+def test_certificate_failure_exit_3(capsys, monkeypatch, argv):
+    lowered = iv._lowered_box
+
+    def wrong(a, b):
+        return (2, 1) if {a, b} == {(1, 3), (3, 1)} else lowered(a, b)
+
+    monkeypatch.setattr(iv, "_lowered_box", wrong)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[3, 3, 3]"))
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["error"] == "CertificateFailure"
 
 
 def test_series_subcommand(capsys):
@@ -374,6 +397,18 @@ def test_report_hvector_fixture(capsys):
     assert doc["boxes"] == 13
     assert doc["profile"]["s"] == [1, 4, 3, 4, 1]
     assert len(doc["minimal_primes"]) == 12
+
+
+@pytest.mark.parametrize(
+    "name", ["example_4322", "example_54432", "hvector_14341", "staircase_22"]
+)
+def test_report_primes_are_the_dual_generators(capsys, name):
+    path = str(FIXTURES / f"{name}.json")
+    _, report = run_cli(capsys, "report", path)
+    _, dual = run_cli(capsys, "dual", path)
+    assert json.loads(report)["minimal_primes"] == [
+        g.split("*") for g in json.loads(dual)["dual_generators"]
+    ]
 
 
 def test_report_consistency_across_fixture(capsys):

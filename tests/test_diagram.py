@@ -43,6 +43,17 @@ def test_validate_rejects_nested_violation_with_path():
     assert err.value.path == "$[1][1]"
 
 
+def test_validate_reports_the_first_fault_depth_first():
+    # a subtree is checked whole before its right siblings, and a node's
+    # sibling dominance after its children: the fault inside $[0] wins
+    with pytest.raises(NotDecreasing) as err:
+        dg.validate([[1, 2], 0])
+    assert err.value.path == "$[0][1]"
+    with pytest.raises(NonPositiveLeaf) as err:
+        dg.validate([[2, 1], [0], [3]])
+    assert err.value.path == "$[1][0]"
+
+
 def test_validate_rejects_mixed_depth():
     with pytest.raises(NonUniformDepth):
         dg.validate([[2], 3])

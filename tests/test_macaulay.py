@@ -190,13 +190,20 @@ def test_realize_variable_limit_precedes_the_build(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "h, message", [((1, -1), "h_1 = -1 is negative"), ((1, 2, -3), "h_2 = -3 is negative")]
+    "h, message",
+    [
+        ((1, -1), "h_1 = -1 is negative"),
+        ((1, 2, -3), "h_2 = -3 is negative"),
+        ((-1,), "h_0 = -1 is negative"),
+    ],
 )
 def test_realize_rejects_a_negative_entry(h, message):
     with pytest.raises(BadHVector, match=f"^{message}$"):
         mc.realize_mvector(h)
     with pytest.raises(BadHVector, match=f"^{message}$"):
         mc.multicomplex_from_mvector(h)
+    with pytest.raises(BadHVector, match=f"^{message}$"):
+        mc.is_m_vector(h)
 
 
 def test_realize_negative_check_precedes_the_box_limit():

@@ -1,0 +1,148 @@
+"""Property tests over drawn diagrams: validation round-trips and reports an
+injected fault where it lies, the last-diagonal removal picks its box by the
+stated rule, and the closed-form Hilbert series agrees with the series from
+the generators and with brute-force counting."""
+
+import pytest
+
+from pferrer import diagram as dg
+from pferrer import ideal as il
+from pferrer import series as sr
+from pferrer.errors import NonPositiveLeaf, NonUniformDepth, NotDecreasing, SingletonDiagram
+from pferrer.oracle import hilbert_function_truncated
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+# Per depth, the children per level from the top and the largest leaf: the
+# full box they give holds at most 40 boxes, and every drawn tree lies in it.
+BOX_SHAPES = {1: ((), 40), 2: ((5,), 8), 3: ((3, 3), 4), 4: ((2, 2, 2), 3)}
+
+
+def _box(widths, leaf):
+    return leaf if not widths else [_box(widths[1:], leaf)] * widths[0]
+
+
+def _meet(a, b):
+    """The tree of the intersection of two trees' box sets."""
+    if isinstance(a, int):
+        return min(a, b)
+    return [_meet(x, y) for x, y in zip(a, b)]
+
+
+@st.composite
+def _under(draw, cap):
+    """A valid raw tree whose boxes lie in those of the valid tree ``cap``."""
+    if isinstance(cap, int):
+        return draw(st.integers(1, cap))
+    children = []
+    for i in range(draw(st.integers(1, len(cap)))):
+        bound = cap[i] if not children else _meet(cap[i], children[-1])
+        children.append(draw(_under(bound)))
+    return children
+
+
+diagrams = st.integers(1, 4).flatmap(lambda depth: _under(_box(*BOX_SHAPES[depth])))
+
+
+def _paths(tree, at=()):
+    """Every node's index path, parents before children."""
+    yield at
+    if isinstance(tree, list):
+        for i, child in enumerate(tree):
+            yield from _paths(child, at + (i,))
+
+
+def _get(tree, path):
+    for i in path:
+        tree = tree[i]
+    return tree
+
+
+def _replace(tree, path, new):
+    if not path:
+        return new
+    out = list(tree)
+    out[path[0]] = _replace(tree[path[0]], path[1:], new)
+    return out
+
+
+def _json_path(path) -> str:
+    return "$" + "".join(f"[{i}]" for i in path)
+
+
+def _bump_first_leaf(tree):
+    """The tree with its first leaf one larger: still valid, and not
+    dominated by the tree it came from."""
+    return tree + 1 if isinstance(tree, int) else [_bump_first_leaf(tree[0])] + tree[1:]
+
+
+def _fault(draw, tree):
+    """(faulty tree, error class, JSON path) with exactly one fault injected."""
+    paths = list(_paths(tree))
+    leaves = [p for p in paths if isinstance(_get(tree, p), int)]
+    in_siblings = [p for p in paths if p and len(_get(tree, p[:-1])) > 1]
+    kinds = ["zero", "bool", "empty"] + ["depth", "outgrow"] * bool(in_siblings)
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("zero", "bool"):
+        path = draw(st.sampled_from(leaves))
+        value, error = (0, NonPositiveLeaf) if kind == "zero" else (True, NonUniformDepth)
+        return _replace(tree, path, value), error, _json_path(path)
+    if kind == "empty":
+        path = draw(st.sampled_from(paths))
+        return _replace(tree, path, []), NonUniformDepth, _json_path(path)
+    path = draw(st.sampled_from(in_siblings))
+    if kind == "depth":
+        node = _get(tree, path)
+        wrong = node[0] if isinstance(node, list) and draw(st.booleans()) else [node]
+        return _replace(tree, path, wrong), NonUniformDepth, _json_path(path[:-1])
+    if path[-1] == 0:
+        path = path[:-1] + (1,)
+    left = _get(tree, path[:-1] + (path[-1] - 1,))
+    return _replace(tree, path, _bump_first_leaf(left)), NotDecreasing, _json_path(path)
+
+
+@PROPERTY
+@given(diagrams)
+def test_validate_round_trips(tree):
+    assert dg.validate(tree).to_tree() == tree
+
+
+@PROPERTY
+@given(diagrams, st.data())
+def test_validate_reports_one_injected_fault_at_its_path(tree, data):
+    faulty, error, path = _fault(data.draw, tree)
+    with pytest.raises(error) as caught:
+        dg.validate(faulty)
+    assert caught.value.path == path
+
+
+@PROPERTY
+@given(diagrams)
+def test_remove_last_diagonal_box_takes_the_largest_box_of_the_last_diagonal(tree):
+    part = dg.validate(tree)
+    all_boxes = dg.boxes(part)
+    if len(all_boxes) == 1:
+        with pytest.raises(SingletonDiagram):
+            dg.remove_last_diagonal_box(part)
+        return
+    delta = max(dg.diagonal_index(b) for b in all_boxes)
+    rest, removed = dg.remove_last_diagonal_box(part)
+    assert removed == max(b for b in all_boxes if dg.diagonal_index(b) == delta)
+    assert dg.boxes(rest) == all_boxes - {removed}
+
+
+@settings(PROPERTY, max_examples=60)
+@given(diagrams)
+def test_series_routes_agree(tree):
+    part = dg.validate(tree)
+    ideal = il.ferrer_ideal(part)
+    n = len(ideal.ambient)
+    assume(n <= 16)
+    profile = dg.diagonal_profile(part)
+    series = sr.hilbert_series_monomial(ideal)
+    formula = sr.hilbert_series_linear(profile.df, part.depth, profile.sigma, n - profile.df)
+    assert series == formula
+    assert series.taylor(8) == hilbert_function_truncated(ideal, 8)

@@ -232,6 +232,25 @@ def test_hilbert_series_monomial_non_squarefree_matches_truncated_counts():
         assert series.taylor(12) == hilbert_function_truncated(ideal, 12)
 
 
+def test_hilbert_series_monomial_common_factor_matches_truncated_counts():
+    # every generator shares x3_1*x3_2*x3_3, which the pivot alone peels off
+    common = {il.Variable(3, i): 1 for i in range(1, 4)}
+    base = il.ferrer_ideal(dg.validate([[2, 1], [1]]))
+    ideal = il.MonomialIdeal.make(
+        [il.Monomial.of({**dict(g.factors), **common}) for g in base.generators]
+    )
+    series = sr.hilbert_series_monomial(ideal)
+    assert series.taylor(12) == hilbert_function_truncated(ideal, 12)
+
+
+def test_splitting_peels_a_common_factor_of_degree_d_as_one_minus_t_to_the_d():
+    # K(c J) = (1 - t^3) + t^3 K(J) for the squarefree factor c of degree 3
+    gens = frozenset({0b0011, 0b0110, 0b1100})
+    c = 0b111 << 4
+    with_c = P(sr._numerator_splitting(frozenset(g | c for g in gens)))
+    assert with_c == P([1, 0, 0, -1]) + P(sr._numerator_splitting(gens)).shift(3)
+
+
 def test_hilbert_series_monomial_x_squared_xy():
     x, y = il.Variable(1, 1), il.Variable(1, 2)
     ideal = il.MonomialIdeal.make([il.Monomial.of({x: 2}), il.Monomial.of({x: 1, y: 1})])

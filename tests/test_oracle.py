@@ -267,6 +267,47 @@ def test_graded_betti_size_limits():
         oc.graded_betti_brute(ideal, Limits(oracle_max_generators=4))
 
 
+def test_graded_betti_does_not_depend_on_the_pattern_memo():
+    rng = random.Random(113)
+    ideals = [il.ferrer_ideal(dg.validate(EX4322))]
+    while len(ideals) < 16:
+        ideal = il.ferrer_ideal(
+            random_partition(rng, rng.choice([2, 3, 4]), max_children=3, max_leaf=3)
+        )
+        if len(ideal.ambient) <= 16 and len(ideal.generators) <= 60:
+            ideals.append(ideal)
+    memo = oc._pattern_homology
+    isolated = []
+    for ideal in ideals:
+        memo.cache_clear()
+        isolated.append(oc.graded_betti_brute(ideal))
+    memo.cache_clear()
+    front_to_back = [oc.graded_betti_brute(ideal) for ideal in ideals]
+    back_to_front = [oc.graded_betti_brute(ideal) for ideal in reversed(ideals)]
+    assert front_to_back == isolated == back_to_front[::-1]
+    for ideal, table in zip(ideals, front_to_back):
+        misses = memo.cache_info().misses
+        assert oc.graded_betti_brute(ideal) == table
+        assert memo.cache_info().misses == misses
+    info = memo.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_pattern_memo_keys_are_renumbered():
+    x = [V(1, i) for i in range(1, 8)]
+
+    def path(a, b, c):
+        return [M({x[a]: 1, x[b]: 1}), M({x[b]: 1, x[c]: 1})]
+
+    oc.graded_betti_brute(il.MonomialIdeal.make(path(0, 1, 2)))
+    misses = oc._pattern_homology.cache_info().misses
+    # the same shape on bits 4..6 of a seven-variable ring
+    shifted = il.MonomialIdeal.make(path(4, 5, 6), ambient=x)
+    assert shifted.masks() == (0b0110000, 0b1100000)
+    assert oc.graded_betti_brute(shifted).entries == ((1, 2, 2), (2, 3, 1))
+    assert oc._pattern_homology.cache_info().misses == misses
+
+
 # --- truncated Hilbert functions -------------------------------------------
 
 

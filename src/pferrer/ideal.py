@@ -2,6 +2,8 @@
 
 Variables come in groups 1..p; the canonical order is descending group, then
 ascending index, which fixes the printed form of every monomial and ideal.
+The graded Betti table of a quotient lives here too, so that the closed form
+(``invariants``) and the oracle return one type without importing each other.
 """
 
 from __future__ import annotations
@@ -148,6 +150,42 @@ def _antichain_ideal(gens: Iterable[Monomial], ambient: Iterable[Variable] = ())
     support = {v for g in gens for v in g.support}
     support.update(ambient)
     return MonomialIdeal(tuple(gens), tuple(sorted(support, key=variable_key)))
+
+
+@dataclass(frozen=True)
+class GradedBettiTable:
+    """Graded Betti numbers of a quotient S/I, the closed form's and the
+    oracle's alike: entries (homological index j, internal degree, value),
+    sorted, nonzero, for j >= 1 only.  So ``beta(0)`` is 0, which is also
+    right for the unit ideal, whose quotient is zero."""
+
+    entries: tuple[tuple[int, int, int], ...]
+
+    @staticmethod
+    def of(data: dict[tuple[int, int], int]) -> "GradedBettiTable":
+        return GradedBettiTable(
+            tuple((j, a, v) for (j, a), v in sorted(data.items()) if v)
+        )
+
+    def beta(self, j: int) -> int:
+        return sum(v for jj, _, v in self.entries if jj == j)
+
+    @property
+    def projdim(self) -> int:
+        return max((j for j, _, _ in self.entries), default=0)
+
+    def totals(self) -> tuple[int, ...]:
+        """beta_1, ..., beta_projdim, summed in one pass over the entries."""
+        sums: dict[int, int] = {}
+        for j, _, v in self.entries:
+            sums[j] = sums.get(j, 0) + v
+        return tuple(sums.get(j, 0) for j in range(1, max(sums, default=0) + 1))
+
+    def degrees(self, j: int) -> set[int]:
+        return {a for jj, a, _ in self.entries if jj == j}
+
+    def to_json(self) -> list[dict]:
+        return [{"j": j, "degree": a, "beta": v} for j, a, v in self.entries]
 
 
 def ferrer_ideal(part: PFerrerPartition) -> MonomialIdeal:

@@ -4,6 +4,8 @@ The Betti formula is implemented in a diagonal-indexed form that does not
 mention the ambient variable count: the two ambient-dependent pieces of the
 textbook-style expression cancel once the deviation counts are indexed by
 diagonal, which keeps the numbers independent of unused variables.
+``betti_table`` returns the same ``ideal.GradedBettiTable`` as the oracle,
+with every entry in degree j + p - 1, so the two routes compare by ``==``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .diagram import (
     remove_last_diagonal_box,
 )
 from .errors import CertificateFailure
-from .ideal import Monomial, box_monomial, ferrer_ideal
+from .ideal import GradedBettiTable, Monomial, box_monomial, ferrer_ideal
 
 
 def betti_cm(c: int, p: int, j: int) -> int:
@@ -38,28 +40,6 @@ def betti_cm(c: int, p: int, j: int) -> int:
     return math.comb(c + p - 1, j + p - 1) * math.comb(j + p - 2, p - 1)
 
 
-@dataclass(frozen=True)
-class BettiTable:
-    """Total Betti numbers of the quotient ring: betti[j-1] is beta_j."""
-
-    betti: tuple[int, ...]
-    generation_degree: int
-
-    @property
-    def projdim(self) -> int:
-        return len(self.betti)
-
-    def beta(self, j: int) -> int:
-        if j == 0:
-            return 1
-        if 1 <= j <= len(self.betti):
-            return self.betti[j - 1]
-        return 0
-
-    def to_json(self) -> dict:
-        return {str(j): b for j, b in enumerate(self.betti, start=1)}
-
-
 def betti_from_profile(profile: DiagonalProfile, j: int) -> int:
     c, p = profile.df, profile.depth
     extra = sum(
@@ -69,12 +49,16 @@ def betti_from_profile(profile: DiagonalProfile, j: int) -> int:
     return betti_cm(c, p, j) + extra
 
 
-def betti_table(part: PFerrerPartition) -> BettiTable:
-    """Total Betti numbers beta_1..beta_projdim of the quotient by the diagram ideal."""
+def betti_table(part: PFerrerPartition) -> GradedBettiTable:
+    """Graded Betti numbers of the quotient by the diagram ideal: beta_j in
+    degree j + p - 1 alone for j = 1..delta, the resolution being p-linear."""
     profile = diagonal_profile(part)
-    return BettiTable(
-        tuple(betti_from_profile(profile, j) for j in range(1, profile.delta + 1)),
-        generation_degree=part.depth,
+    p = part.depth
+    return GradedBettiTable(
+        tuple(
+            (j, j + p - 1, betti_from_profile(profile, j))
+            for j in range(1, profile.delta + 1)
+        )
     )
 
 
@@ -96,8 +80,8 @@ class MappingConeStep(NamedTuple):
     phi_prime: PFerrerPartition
     removed: Box
     delta: int
-    table: BettiTable
-    table_prime: BettiTable
+    table: GradedBettiTable
+    table_prime: GradedBettiTable
     recurrence_holds: bool
 
 
@@ -211,9 +195,10 @@ def _lowered_box(a: Box, b: Box) -> Box:
     raise ValueError("boxes are equal")
 
 
-def betti_bounds_check(table: BettiTable, c: int, n: int, depth: int) -> bool:
-    """betti_cm(c,p,j) <= beta_j <= betti_cm(n-depth,p,j) for every j."""
-    p = table.generation_degree
+def betti_bounds_check(table: GradedBettiTable, c: int, n: int, depth: int) -> bool:
+    """betti_cm(c,p,j) <= beta_j <= betti_cm(n-depth,p,j) for every j, with p
+    the generation degree, that of the j = 1 entries."""
+    p = min(table.degrees(1))
     upper_c = n - depth
     return all(
         betti_cm(c, p, j) <= table.beta(j) <= betti_cm(upper_c, p, j)

@@ -14,17 +14,17 @@ variable by variable: the counts in every degree up to the bound are
 memoized per (variable, surviving generators), and each interval of
 exponents over which the surviving set is constant adds one sub-vector as a
 running sum.  Nothing here knows about diagrams or closed formulas, so
-agreement with the formula modules is a genuine two-route check.
+agreement with the formula modules is a genuine two-route check; the Betti
+table type both routes return, ``GradedBettiTable``, lives in ``ideal``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SizeLimitExceeded
-from .ideal import MonomialIdeal
+from .ideal import GradedBettiTable, MonomialIdeal
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -213,51 +213,12 @@ def _pattern_homology(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(_avoidance_homology(vertices, key).items())
 
 
-@dataclass(frozen=True)
-class GradedBettiTable:
-    """Entries (homological index of the quotient, internal degree, value)."""
-
-    entries: tuple[tuple[int, int, int], ...]
-
-    @staticmethod
-    def of(data: dict[tuple[int, int], int]) -> "GradedBettiTable":
-        return GradedBettiTable(
-            tuple((j, a, v) for (j, a), v in sorted(data.items()) if v)
-        )
-
-    def beta(self, j: int) -> int:
-        return sum(v for jj, _, v in self.entries if jj == j)
-
-    @property
-    def projdim(self) -> int:
-        return max((j for j, _, _ in self.entries), default=0)
-
-    def totals(self) -> tuple[int, ...]:
-        return tuple(self.beta(j) for j in range(1, self.projdim + 1))
-
-    def degrees(self, j: int) -> set[int]:
-        return {a for jj, a, _ in self.entries if jj == j}
-
-    def is_linear(self, p: int) -> bool:
-        """All entries sit in internal degree j + p - 1."""
-        return all(a == j + p - 1 for j, a, _ in self.entries)
-
-    def to_json(self) -> list[dict]:
-        return [{"j": j, "degree": a, "beta": v} for j, a, v in self.entries]
-
-
 def _lcm_lattice(masks: tuple[int, ...]) -> set[int]:
-    lattice = set(masks)
-    frontier = list(lattice)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in masks:
-                y = x | g
-                if y not in lattice:
-                    lattice.add(y)
-                    fresh.append(y)
-        frontier = fresh
+    """The OR-closure of the masks: each mask joins every element so far."""
+    lattice: set[int] = set()
+    for g in masks:
+        lattice |= {x | g for x in lattice}
+        lattice.add(g)
     return lattice
 
 
@@ -311,6 +272,15 @@ def graded_betti_brute(
     return GradedBettiTable.of(entries)
 
 
+def _check_truncation(max_degree: int, limits: Limits) -> None:
+    """The truncation limit of ``hilbert_function_truncated``, also checked by
+    ``verify`` on its flag before any oracle work."""
+    if max_degree > limits.truncation_max_degree:
+        raise SizeLimitExceeded(
+            f"degree {max_degree} exceeds truncation limit {limits.truncation_max_degree}"
+        )
+
+
 def hilbert_function_truncated(
     ideal: MonomialIdeal, max_degree: int, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[int, ...]:
@@ -325,10 +295,7 @@ def hilbert_function_truncated(
     reads one sub-vector and adds it, shifted by low..high-1, as a running
     sum.
     """
-    if max_degree > limits.truncation_max_degree:
-        raise SizeLimitExceeded(
-            f"degree {max_degree} exceeds truncation limit {limits.truncation_max_degree}"
-        )
+    _check_truncation(max_degree, limits)
     variables = ideal.ambient
     n = len(variables)
     gens = [tuple(g.exponent(v) for v in variables) for g in ideal.generators]

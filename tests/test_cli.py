@@ -11,7 +11,9 @@ import pytest
 
 from helpers import FIXTURES
 from pferrer import cli
+from pferrer import ideal as il
 from pferrer import invariants as iv
+from pferrer import oracle as oc
 from pferrer.errors import BadLimits
 from pferrer.limits import Limits
 
@@ -238,6 +240,37 @@ def test_verify_oversized_exit_4(capsys, tmp_path):
     code, out = run_cli(capsys, "verify", write_diagram(tmp_path, tree))
     assert code == 4
     assert json.loads(out)["error"] == "SizeLimitExceeded"
+
+
+def test_verify_max_degree_past_truncation_limit_exit_4_before_the_oracle(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the Betti oracle ran before --max-degree was checked")
+
+    monkeypatch.setattr(oc, "graded_betti_brute", unreachable)
+    argv = ["verify", "--max-degree", "21", str(FIXTURES / "example_54432.json")]
+    code, out = run_cli(capsys, *argv)
+    assert code == 4
+    assert json.loads(out) == {
+        "error": "SizeLimitExceeded",
+        "message": "degree 21 exceeds truncation limit 20",
+    }
+
+
+def test_verify_betti_entry_in_a_wrong_degree_exit_3(capsys, monkeypatch):
+    # the totals still agree with the oracle's; only the degree of beta_3 moves
+    betti_table = iv.betti_table
+
+    def misplaced(part):
+        *rest, (j, degree, value) = betti_table(part).entries
+        return il.GradedBettiTable((*rest, (j, degree + 1, value)))
+
+    monkeypatch.setattr(iv, "betti_table", misplaced)
+    code, out = run_cli(capsys, "verify", str(FIXTURES / "staircase_22.json"))
+    assert code == 3
+    doc = json.loads(out)
+    failed = [check for check in doc["checks"] if not check["ok"]]
+    assert [check["name"] for check in failed] == ["betti_formula_vs_oracle"]
+    assert failed[0]["formula"] == failed[0]["oracle"] == [4, 4, 1]
 
 
 @pytest.mark.parametrize("argv", [["report", "--certificate", "-"], ["verify", "-"]])

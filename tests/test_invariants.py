@@ -4,11 +4,13 @@ import random
 import pytest
 
 from helpers import EX4322, random_partition
+from pferrer import cli
 from pferrer import diagram as dg
 from pferrer import ideal as il
 from pferrer import invariants as iv
 from pferrer import oracle as oc
 from pferrer.errors import CertificateFailure
+from pferrer.limits import DEFAULT_LIMITS
 
 
 def test_betti_cm_small_values():
@@ -39,17 +41,17 @@ def test_betti_cm_matches_displayed_codim2_resolution():
 
 def test_betti_table_staircase():
     table = iv.betti_table(dg.validate([2, 1]))
-    assert table.betti == (3, 2) and table.projdim == 2
+    assert table.totals() == (3, 2) and table.projdim == 2
 
 
 def test_betti_table_square():
     table = iv.betti_table(dg.validate([2, 2]))
-    assert table.betti == (4, 4, 1) and table.projdim == 3
+    assert table.totals() == (4, 4, 1) and table.projdim == 3
 
 
 def test_betti_table_example_4322():
     table = iv.betti_table(dg.validate(EX4322))
-    assert table.betti == (21, 50, 45, 17, 2) and table.projdim == 5
+    assert table.totals() == (21, 50, 45, 17, 2) and table.projdim == 5
 
 
 def test_betti_table_first_entry_counts_boxes():
@@ -64,7 +66,7 @@ def test_betti_table_last_entry_positive():
     for _ in range(30):
         part = random_partition(rng, rng.choice([1, 2, 3]))
         table = iv.betti_table(part)
-        assert table.betti[-1] >= 1
+        assert table.totals()[-1] >= 1
         assert table.projdim == dg.diagonal_profile(part).delta
 
 
@@ -88,15 +90,15 @@ def test_mapping_cone_square():
     step = iv.mapping_cone_step(dg.validate([2, 2]))
     assert step.phi_prime.to_tree() == [2, 1]
     assert step.delta == 3
-    assert step.table.betti == (4, 4, 1)
-    assert step.table_prime.betti == (3, 2)
+    assert step.table.totals() == (4, 4, 1)
+    assert step.table_prime.totals() == (3, 2)
     assert step.recurrence_holds
 
 
 def test_mapping_cone_full_staircase():
     step = iv.mapping_cone_step(dg.full_diagram(2, 2))
-    assert step.table.betti == (3, 2)
-    assert step.table_prime.betti == (2, 1)
+    assert step.table.totals() == (3, 2)
+    assert step.table_prime.totals() == (2, 1)
     assert step.recurrence_holds
 
 
@@ -124,7 +126,7 @@ def test_betti_table_cm_case_is_pure_formula():
         for c in (1, 2, 3):
             part = dg.full_diagram(p, c)
             table = iv.betti_table(part)
-            assert table.betti == tuple(iv.betti_cm(c, p, j) for j in range(1, c + 1))
+            assert table.totals() == tuple(iv.betti_cm(c, p, j) for j in range(1, c + 1))
             step = (
                 iv.mapping_cone_step(part) if dg.box_count(part) > 1 else None
             )
@@ -132,9 +134,16 @@ def test_betti_table_cm_case_is_pure_formula():
                 assert step.recurrence_holds
 
 
-def test_betti_table_json_shape():
+def test_betti_table_is_graded_in_degree_j_plus_p_minus_1():
     table = iv.betti_table(dg.validate([2, 2]))
-    assert table.to_json() == {"1": 4, "2": 4, "3": 1}
+    assert table.entries == ((1, 2, 4), (2, 3, 4), (3, 4, 1))
+    assert table.beta(0) == 0 and table.beta(4) == 0
+
+
+def test_betti_table_json_shape():
+    # the report's betti field holds the totals, keyed by j
+    doc = cli._report_document(dg.validate([2, 2]), DEFAULT_LIMITS, certificate=False)
+    assert doc["betti"] == {"1": 4, "2": 4, "3": 1}
 
 
 def test_regularity():

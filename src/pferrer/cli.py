@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import diagram as dg
 from . import ideal as il
@@ -49,8 +50,42 @@ EXIT_CODES = {
 }
 
 
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, with one ``str.join`` per container.
+
+    ``json`` uses its C encoder only when ``indent`` is None; with an indent
+    it runs a pure-Python encoder that yields every token from a generator.
+    ``pad`` is the indent of the line ``obj`` starts on.  Dict keys must be
+    str.  Any other scalar, a float say, goes through ``json.dumps``, so a
+    value JSON cannot hold raises its TypeError.
+    """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_dumps(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
 def _emit(document: dict) -> None:
-    print(json.dumps(document, indent=2))
+    print(_dumps(document))
 
 
 def _load_diagram(path: str, limits: Limits) -> dg.PFerrerPartition:
@@ -98,6 +133,9 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
     summary = iv.homological_summary(part)
     table = iv.betti_table(part)
     reg_ideal, reg_quotient = iv.regularity(part)
+    # The certificate's monomials are box monomials, one generator each, so
+    # every monomial of the report is printed once and looked up after that.
+    name = {g: str(g) for g in ideal.generators}
     doc = {
         "input": part.to_tree(),
         "depth": part.depth,
@@ -106,18 +144,18 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
         "summary": {**summary.to_json(), "reg_ideal": reg_ideal, "reg_quotient": reg_quotient},
         "betti": {str(j): b for j, b in enumerate(table.totals(), start=1)},
         **_series_block(profile, summary.n),
-        "generators": [str(g) for g in ideal.generators],
+        "generators": [name[g] for g in ideal.generators],
         "minimal_primes": [[str(v) for v in g.support] for g in dual.generators],
     }
     if certificate:
         cert = iv.ara_certificate(part)
         doc["certificate"] = {
-            "classes": [[str(m) for m in cls] for cls in cert.classes],
+            "classes": [[name[m] for m in cls] for cls in cert.classes],
             "witnesses": [
                 {
-                    "pair": [str(w.first), str(w.second)],
+                    "pair": [name[w.first], name[w.second]],
                     "witness_class": w.witness_class,
-                    "witness_monomial": str(w.witness),
+                    "witness_monomial": name[w.witness],
                 }
                 for w in cert.witnesses
             ],
@@ -374,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="full invariant report for a diagram")
     report.add_argument("path", help="diagram JSON file, or - for stdin")
-    report.add_argument("--text", action="store_true", help="render as text instead of JSON")
-    report.add_argument("--json", action="store_true", help="JSON output (default)")
+    form = report.add_mutually_exclusive_group()
+    form.add_argument("--text", action="store_true", help="render as text instead of JSON")
+    form.add_argument("--json", action="store_true", help="JSON output (default)")
     report.add_argument("--certificate", action="store_true", help="include the ara certificate")
     report.set_defaults(handler=cmd_report)
 

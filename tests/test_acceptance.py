@@ -257,6 +257,19 @@ def test_criterion_06_hilbert_identities(corpus, capsys):
         )
 
 
+def test_dual_series_is_the_series_of_the_dual_ideal(corpus):
+    """``dual`` prints ``dual_series``'s second item: it must be the Hilbert
+    series of the Alexander dual, counted from the dual's own generators."""
+    mismatched = []
+    for part in corpus:
+        profile = dg.diagonal_profile(part)
+        ideal = il.ferrer_ideal(part)
+        _, dual = sr.dual_series(profile.df, part.depth, profile.sigma, len(ideal.ambient))
+        if sr.hilbert_series_monomial(il.alexander_dual(ideal)) != dual:
+            mismatched.append(part)
+    assert len(corpus) == 332 and not mismatched, mismatched[:3]
+
+
 def test_criterion_07_s_vector_roundtrip(corpus, capsys):
     rng = random.Random(7)
     ok = True

@@ -469,6 +469,8 @@ def test_limits_from_env_raises_bad_limits_a_value_error():
         (["report", "--h", "x"], "unrecognized arguments: --h"),
         (["verify", "--he", "x"], "unrecognized arguments: --he"),
         (["verify", "--max", "3", "fixture"], "unrecognized arguments: --max"),
+        (["report", "--text", "--json", "fixture"], "argument --json: not allowed with argument --text"),
+        (["report", "--json", "--text", "fixture"], "argument --text: not allowed with argument --json"),
     ],
 )
 def test_usage_error_is_json_bad_flags(capsys, argv, message):

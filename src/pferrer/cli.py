@@ -128,7 +128,7 @@ def _series_block(profile: dg.DiagonalProfile, n: int) -> dict:
 
 def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: bool) -> dict:
     ideal = il.ferrer_ideal(part)
-    dual = il.alexander_dual(ideal, limits)  # hitting-set limit first
+    dual = il.ferrer_dual(part, limits)  # hitting-set limit first
     profile = dg.diagonal_profile(part)
     summary = iv.homological_summary(part)
     table = iv.betti_table(part)
@@ -327,7 +327,7 @@ def cmd_dual(args, limits: Limits) -> int:
     part = _load_diagram(args.path, limits)
     profile = dg.diagonal_profile(part)
     ideal = il.ferrer_ideal(part)
-    dual = il.alexander_dual(ideal, limits)
+    dual = il.ferrer_dual(part, limits)
     primal, dual_series = sr.dual_series(
         profile.df, part.depth, profile.sigma, len(ideal.ambient)
     )

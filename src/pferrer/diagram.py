@@ -33,11 +33,27 @@ INCOMPARABLE = "incomparable"
 
 @dataclass(frozen=True)
 class PFerrerPartition:
-    """Immutable partition tree; ``value`` is set on leaves, ``children`` on nodes."""
+    """Immutable partition tree; ``value`` is set on leaves, ``children`` on nodes.
+
+    Equality is by value.  The hash is computed once, at construction, from
+    the children's stored hashes, so a cache lookup on a deep tree does not
+    rehash every level.
+    """
 
     depth: int
     value: int | None = None
     children: tuple["PFerrerPartition", ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.depth, self.value, self.children)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt, not restored: hash(None) in a node's hash differs between
+        # processes, so a stored hash would not survive a pickle.
+        return PFerrerPartition, (self.depth, self.value, self.children)
 
     @staticmethod
     def leaf(value: int) -> "PFerrerPartition":

@@ -9,6 +9,7 @@ The graded Betti table of a quotient lives here too, so that the closed form
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .diagram import Box, PFerrerPartition, boxes
@@ -85,8 +86,9 @@ def monomial_key(m: Monomial):
 
 
 def box_monomial(box: Box) -> Monomial:
-    """The squarefree monomial of a box: one variable per coordinate group."""
-    return Monomial.of({Variable(k, a): 1 for k, a in enumerate(box, start=1)})
+    """The squarefree monomial of a box: one variable per coordinate group,
+    built in canonical (descending group) order."""
+    return Monomial(tuple((Variable(k, box[k - 1]), 1) for k in range(len(box), 0, -1)))
 
 
 @dataclass(frozen=True)
@@ -188,14 +190,39 @@ class GradedBettiTable:
         return [{"j": j, "degree": a, "beta": v} for j, a, v in self.entries]
 
 
+def _group_variables(part: PFerrerPartition) -> list[tuple[Variable, ...]]:
+    """x_{k,1..m_k} for each group k = p..1, m_k being the largest coordinate
+    k among the boxes: the diagram ideal's variables, in canonical order,
+    since the boxes are downward closed.  The first child dominates its
+    siblings, so the chain of first children holds every m_k."""
+    sizes = []
+    while not part.is_leaf:
+        sizes.append(len(part.children))
+        part = part.children[0]
+    sizes.append(part.value)
+    return [
+        tuple(Variable(k, a) for a in range(1, size + 1))
+        for k, size in zip(range(len(sizes), 0, -1), sizes)
+    ]
+
+
 def ferrer_ideal(part: PFerrerPartition) -> MonomialIdeal:
     """One squarefree degree-p generator per box of the diagram.
 
     Distinct boxes give distinct squarefree monomials of one degree, which
-    already form an antichain, so they go straight to ``_antichain_ideal``
-    without ``MonomialIdeal.make``'s minimalization.
+    already form an antichain.  A box's reversed coordinates index its
+    variables in groups p..1, and ordering the boxes by them orders their
+    monomials by ``monomial_key``, so the ideal is built directly in
+    canonical form, as ``box_monomial`` would build each generator, from one
+    shared (variable, 1) factor per variable.
     """
-    return _antichain_ideal(box_monomial(b) for b in boxes(part))
+    groups = _group_variables(part)
+    rows = [[(v, 1) for v in group] for group in groups]
+    gens = tuple(
+        Monomial(tuple([row[a - 1] for row, a in zip(rows, reversed_box)]))
+        for reversed_box in sorted(b[::-1] for b in boxes(part))
+    )
+    return MonomialIdeal(gens, tuple(v for group in groups for v in group))
 
 
 class IntersectionComponent(NamedTuple):
@@ -248,7 +275,8 @@ def intersection_decomposition(part: PFerrerPartition) -> tuple[IntersectionComp
 
 
 def _check_hitting_set(variable_count: int, limits: Limits) -> None:
-    """The hitting-set limit on the ambient variables of ``minimal_primes``."""
+    """The hitting-set limit on an ideal's ambient variables, checked by both
+    routes to minimal primes, ``minimal_primes`` and ``ferrer_dual``."""
     if variable_count > limits.hitting_set_max_variables:
         raise SizeLimitExceeded(
             f"{variable_count} variables exceed hitting-set limit "
@@ -259,28 +287,87 @@ def _check_hitting_set(variable_count: int, limits: Limits) -> None:
 def minimal_primes(
     ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS
 ) -> frozenset[frozenset[Variable]]:
-    """Inclusion-minimal variable sets meeting the support of every generator.
+    """Inclusion-minimal variable sets meeting the support of every generator,
+    for any squarefree ideal, by brute force.  A diagram ideal's are read off
+    its decomposition by ``ferrer_dual``; this route stays for other ideals,
+    ``verify``'s height check and the tests."""
+    variables = ideal.ambient
+    return frozenset(
+        frozenset(variables[i] for i in range(len(variables)) if (c >> i) & 1)
+        for c in _transversals(ideal, limits)
+    )
 
-    Berge's transversal loop over the distinct generator masks in ascending
-    order keeps ``covers`` exactly minimal: a cover meeting the next mask g
-    is kept, one missing g grows by each bit of g, and a grown cover is
+
+def _transversals(ideal: MonomialIdeal, limits: Limits) -> list[int]:
+    """The minimal primes as masks over the ambient, by Berge's transversal
+    loop over the distinct generator masks in ascending order.
+
+    The loop keeps ``covers`` exactly minimal: a cover meeting the next mask
+    g is kept, one missing g grows by each bit of g, and a grown cover is
     dropped only when it contains a kept one (grown covers are pairwise
     incomparable, and none lies inside a kept one).
     """
     if not ideal.is_squarefree:
         raise NotSquarefree("minimal primes require a squarefree ideal")
-    variables = ideal.ambient
-    _check_hitting_set(len(variables), limits)
+    _check_hitting_set(len(ideal.ambient), limits)
     covers = [0]
     for g in sorted(set(ideal.masks())):
         bits = [1 << i for i in range(g.bit_length()) if g >> i & 1]
         kept = [c for c in covers if c & g]
         grown = [c | bit for c in covers if not c & g for bit in bits]
         covers = kept + [c for c in grown if not any(k & c == k for k in kept)]
-    return frozenset(
-        frozenset(variables[i] for i in range(len(variables)) if (c >> i) & 1)
-        for c in covers
-    )
+    return covers
+
+
+def _diagram_primes(part: PFerrerPartition, offsets: dict[int, int]) -> set[int]:
+    """The minimal primes of a diagram ideal as masks, group k's variable
+    x_{k,a} being bit ``offsets[k] + a - 1``.
+
+    Depth 1 has one prime, every variable.  At depth p >= 2, with runs
+    r = 1..R of equal children, c_r the child of run r and L_r the group-p
+    variables of runs 1..r, the intersection decomposition gives
+        primes = {L_R} + union over r of {L_{r-1} + P : P in primes(c_r) - primes(c_{r-1})}
+    with primes(c_0) empty; these sets are already minimal.  The runs are
+    walked here, not through the public ``equal_runs``, so that a tracer of
+    public calls sees one call per dual rather than one per level.
+    """
+    base = offsets[part.depth]
+    if part.is_leaf:
+        return {((1 << part.value) - 1) << base}
+    children = part.children
+    primes = {((1 << len(children)) - 1) << base}
+    previous: set[int] = set()
+    start = 0
+    for i in range(1, len(children) + 1):
+        if i == len(children) or children[i] != children[start]:
+            current = _diagram_primes(children[start], offsets)
+            linear = ((1 << start) - 1) << base
+            primes.update(linear | q for q in current - previous)
+            previous = current
+            start = i
+    return primes
+
+
+def _dual_ideal(masks: Iterable[int], ambient: tuple[Variable, ...]) -> MonomialIdeal:
+    """The squarefree ideal with one generator per mask, bit i standing for
+    ``ambient[i]``: the Alexander dual when the masks are the minimal primes."""
+    gens = [
+        Monomial(tuple((ambient[i], 1) for i in range(c.bit_length()) if c >> i & 1))
+        for c in masks
+    ]
+    return _antichain_ideal(gens, ambient)
+
+
+def ferrer_dual(part: PFerrerPartition, limits: Limits = DEFAULT_LIMITS) -> MonomialIdeal:
+    """The Alexander dual of the diagram ideal: one generator per minimal
+    prime, read off the intersection decomposition, with no hitting-set
+    search.  Equal to ``alexander_dual(ferrer_ideal(part), limits)``, and
+    bounded by the same hitting-set limit, checked first."""
+    groups = _group_variables(part)
+    ambient = tuple(v for group in groups for v in group)
+    _check_hitting_set(len(ambient), limits)
+    offsets = dict(zip(range(part.depth, 0, -1), accumulate(map(len, groups), initial=0)))
+    return _dual_ideal(_diagram_primes(part, offsets), ambient)
 
 
 def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
@@ -289,8 +376,8 @@ def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
 
 
 def alexander_dual(ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS) -> MonomialIdeal:
-    """Squarefree dual: one generator per minimal prime; an involution.
-    ``minimal_primes`` raises NotSquarefree for any other ideal."""
-    primes = minimal_primes(ideal, limits)
-    gens = [Monomial(tuple((v, 1) for v in sorted(p, key=variable_key))) for p in primes]
-    return _antichain_ideal(gens, ideal.ambient)
+    """Squarefree dual of any squarefree ideal: one generator per minimal
+    prime, found by the hitting-set search of ``minimal_primes``; an
+    involution.  NotSquarefree for any other ideal.  A diagram ideal's dual
+    comes from ``ferrer_dual`` without that search."""
+    return _dual_ideal(_transversals(ideal, limits), ideal.ambient)

@@ -17,7 +17,7 @@ from .errors import (
     NotMVector,
     SizeLimitExceeded,
 )
-from .ideal import MonomialIdeal, _check_hitting_set, alexander_dual, ferrer_ideal
+from .ideal import MonomialIdeal, _check_hitting_set, ferrer_dual, ferrer_ideal
 from .limits import DEFAULT_LIMITS, Limits
 from .series import h_vector, hilbert_series_monomial
 
@@ -163,10 +163,13 @@ class Realization:
 def realize_mvector(h, limits: Limits = DEFAULT_LIMITS) -> Realization:
     """Build the diagram realizing h as diagonal counts and verify, through the
     independent series route, that h is the h-vector of the dual quotient.
+    The dual's generators are the diagram's minimal primes, read off its
+    intersection decomposition by ``ferrer_dual`` rather than searched for.
     The diagram has sum(h) boxes, checked against ``max_boxes`` once no entry
     is negative.  Its ideal has one variable per value of each box coordinate,
     (largest exponent + 1) per multicomplex variable, checked against the
-    dual's hitting-set limit before the diagram is built."""
+    hitting-set limit, which still bounds the dual, before the diagram is
+    built."""
     h = _nonnegative(h)
     if sum(h) > limits.max_boxes:
         raise SizeLimitExceeded(f"{sum(h)} boxes exceed limit {limits.max_boxes}")
@@ -176,6 +179,6 @@ def realize_mvector(h, limits: Limits = DEFAULT_LIMITS) -> Realization:
     _check_hitting_set(sum(map(max, zip(*mc.monomials))) + mc.nvars, limits)
     diagram = diagram_from_multicomplex(mc)
     ideal = ferrer_ideal(diagram)
-    dual = alexander_dual(ideal, limits)
+    dual = ferrer_dual(diagram, limits)
     dual_h = h_vector(hilbert_series_monomial(dual, limits))
     return Realization(h, mc, diagram, ideal, dual, dual_h, dual_h == h)

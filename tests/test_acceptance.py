@@ -270,6 +270,19 @@ def test_dual_series_is_the_series_of_the_dual_ideal(corpus):
     assert len(corpus) == 332 and not mismatched, mismatched[:3]
 
 
+def test_ferrer_dual_matches_the_hitting_sets_on_the_corpus(corpus):
+    """The closed-form primes of ``ferrer_dual`` are ``minimal_primes``'
+    brute-force hitting sets, and the dual equals ``alexander_dual``'s."""
+    mismatched = []
+    for part in corpus:
+        ideal = il.ferrer_ideal(part)
+        dual = il.ferrer_dual(part)
+        primes = {frozenset(g.support) for g in dual.generators}
+        if primes != il.minimal_primes(ideal) or dual != il.alexander_dual(ideal):
+            mismatched.append(part)
+    assert len(corpus) == 332 and not mismatched, mismatched[:3]
+
+
 def test_criterion_07_s_vector_roundtrip(corpus, capsys):
     rng = random.Random(7)
     ok = True

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -510,3 +511,50 @@ def test_error_documents_are_emitted_only_by_dispatch():
             ):
                 emitters.append(function.name)
     assert emitters == ["_dispatch"]
+
+
+# stdout sha256 of report, dual and macaulay as printed when their duals
+# came from the hitting-set search
+HITTING_SET_ROUTE_BYTES = [
+    (["report", "--certificate", "example_4322"], "0393e33f0f5c4c1d371286e5c29e670d19710de212e94f1f06bab1893dff1880"),
+    (["report", "--text", "example_4322"], "37d0f3bd3e1acc8dfd3ae4761bb2d693fe60a7c6c31c297c1176620db3a90752"),
+    (["dual", "example_4322"], "5fc42a3381f2a16a99aa68d5a8bc922820d3b98f9cec781644ee21de21d0b9bc"),
+    (["report", "--certificate", "example_54432"], "68485b724c293963971364b09ee7914dd29e2114f96467da6134eb99bcdf9431"),
+    (["report", "--text", "example_54432"], "616f73f5aec9f54c4fbacd66e29896dc15a3ec123b3f9def16d717941aa2a376"),
+    (["dual", "example_54432"], "4e0b51b39246b0a74f0a437c84d57655568ab5b9dc8ccd79fa9a7e956e805d73"),
+    (["report", "--certificate", "hvector_14341"], "f875d69345674285d5ded927d16873a51854e287faa89865d2618d0faa41fdd4"),
+    (["report", "--text", "hvector_14341"], "abba30699e45c89392ea63fd4664f273b508f37f8e0c9898e05e59260406b016"),
+    (["dual", "hvector_14341"], "12072d6fc032d629adafba77b990737dfff0604b54972cdac556b93f6fb1c574"),
+    (["report", "--certificate", "staircase_22"], "ed419a62930c5c08173626c131bd27015e2e0bc0d6b6496ed0443584f882e23e"),
+    (["report", "--text", "staircase_22"], "4b4444387f54efa6f8bb43ba5ff0d6abfa2dba42cb8e5928b514fedf7618a4d4"),
+    (["dual", "staircase_22"], "8664a57b3d886966be49eead648cd8e13cff678f8f38e7012651196374439af6"),
+    (["macaulay", "--h", "1,4,3,4,1"], "fedc3cff3652e72a6afdfe328fd84578cb60ce56def6248defefeb09e05b98c6"),
+    (["macaulay", "--h", "1,3,2,1"], "04ef8f5e61afd96afe18bbd1795bd1346f13863e7b8f7cea31a5370d6e46a826"),
+    (["macaulay", "--h", "1,2,3,4"], "934aed416920458bb35e8d8161024957f8ce8cde2961fa178cf1abefc15f0831"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", HITTING_SET_ROUTE_BYTES)
+def test_user_path_prints_the_same_bytes_without_the_hitting_sets(monkeypatch, capsys, argv, digest):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the user path ran the hitting-set search")
+
+    for name in ("minimal_primes", "alexander_dual", "_transversals"):
+        monkeypatch.setattr(il, name, unreachable)
+    if argv[0] != "macaulay":
+        argv = argv[:-1] + [str(FIXTURES / f"{argv[-1]}.json")]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_deep_macaulay_stops_at_the_series_generator_limit(monkeypatch, capsys):
+    # 200 nested levels and 20100 minimal primes: the dual is built, then
+    # the series layer refuses it, with the same error as the hitting sets gave
+    monkeypatch.setenv("FERRER_LIMITS", json.dumps({"hitting_set_max_variables": 500}))
+    code, out = run_cli(capsys, "macaulay", "--h", "1,200,1,1,1")
+    assert code == 4
+    assert out == (
+        '{\n  "error": "TooManyGenerators",\n'
+        '  "message": "20100 generators exceed limit 512"\n}\n'
+    )

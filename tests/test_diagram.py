@@ -1,5 +1,6 @@
 import functools
 import importlib
+import pickle
 import pkgutil
 import random
 from itertools import product
@@ -309,3 +310,23 @@ def test_partition_hash_is_the_field_hash_and_equal_trees_share_the_cache():
     hits = dg.boxes.cache_info().hits
     assert dg.boxes(built) is first
     assert dg.boxes.cache_info().hits == hits + 1
+
+
+def test_separately_parsed_deep_diagrams_hash_and_compare_equal():
+    def chain(bottom, limits=Limits(max_depth=250)):
+        for _ in range(200):
+            bottom = [bottom]
+        return dg.validate(bottom, limits)
+
+    first, second = chain([3, 1]), chain([3, 1])
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert {first: 1}[second] == 1
+    assert first != chain([3, 2])
+
+
+def test_unpickled_partition_recomputes_its_hash():
+    part = dg.validate(EX4322)
+    object.__setattr__(part, "_hash", 0)
+    copy = pickle.loads(pickle.dumps(part))
+    assert copy == part and hash(copy) == hash((copy.depth, copy.value, copy.children))

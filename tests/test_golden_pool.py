@@ -5,8 +5,9 @@ that "the CLI output is byte-identical" is one command:
     PYTHONPATH=src python -m pytest -q -m slow tests/test_golden_pool.py
 
 Without ``-m slow`` every tenth op of each workload is replayed, so a byte
-change in any subcommand fails the default run too.  It reads ``perfbench/``
-and writes nothing there.
+change in any subcommand fails the default run too.  A ``slow`` test also
+checks the closed-form minimal primes of every pool diagram against the
+hitting sets.  It reads ``perfbench/`` and writes nothing there.
 """
 
 import hashlib
@@ -17,6 +18,9 @@ from pathlib import Path
 import pytest
 
 from pferrer import cli
+from pferrer import diagram as dg
+from pferrer import ideal as il
+from pferrer import macaulay as mc
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -55,3 +59,26 @@ def test_every_tenth_pool_op_matches_its_golden_record(monkeypatch, workload):
     ops = workloads.all_pool_ops(workload)[::10]
     mismatched = _mismatched(ops, _records(workload))
     assert not mismatched, f"{len(mismatched)} of {len(ops)} ops differ, first {mismatched[0]}"
+
+
+def _pool_diagram(op):
+    argv, stdin_text = op
+    if argv[0] == "macaulay":
+        h = tuple(int(chunk) for chunk in argv[-1].split(","))
+        return mc.diagram_from_multicomplex(mc.multicomplex_from_mvector(h))
+    return dg.validate(json.loads(stdin_text))
+
+
+@pytest.mark.slow
+def test_closed_form_primes_of_every_pool_diagram_are_the_hitting_sets():
+    diagrams = {
+        _pool_diagram(op) for workload in workloads.WORKLOADS for op in workloads.all_pool_ops(workload)
+    }
+    mismatched = []
+    for part in diagrams:
+        ideal = il.ferrer_ideal(part)
+        dual = il.ferrer_dual(part)
+        primes = {frozenset(g.support) for g in dual.generators}
+        if primes != il.minimal_primes(ideal) or dual != il.alexander_dual(ideal):
+            mismatched.append(part)
+    assert len(diagrams) > 1000 and not mismatched, mismatched[:3]

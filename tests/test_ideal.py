@@ -286,6 +286,45 @@ def test_minimal_primes_of_box_diagram_are_its_groups(tree, limits):
     assert il.minimal_primes(ideal, limits) == groups
 
 
+def _primes_of(dual):
+    return {frozenset(g.support) for g in dual.generators}
+
+
+def test_ferrer_dual_of_the_20x20_grid_is_its_two_groups():
+    part = dg.validate([20] * 20)
+    limits = Limits(hitting_set_max_variables=40)
+    ideal = il.ferrer_ideal(part)
+    dual = il.ferrer_dual(part, limits)
+    assert dual == il.alexander_dual(ideal, limits)
+    assert _primes_of(dual) == il.minimal_primes(ideal, limits)
+    assert _primes_of(dual) == {
+        frozenset(V(k, a) for a in range(1, 21)) for k in (1, 2)
+    }
+
+
+def test_ferrer_dual_checks_the_hitting_set_limit():
+    with pytest.raises(SizeLimitExceeded, match="^40 variables exceed hitting-set limit 30$"):
+        il.ferrer_dual(dg.validate([20] * 20))
+
+
+def test_ferrer_dual_matches_the_hitting_sets_on_random_deep_diagrams():
+    rng = random.Random(41)
+    limits = Limits(hitting_set_max_variables=64)
+    for _ in range(200):
+        part = random_partition(rng, rng.randint(1, 5), max_children=3, max_leaf=3)
+        ideal = il.ferrer_ideal(part)
+        dual = il.ferrer_dual(part, limits)
+        assert dual == il.alexander_dual(ideal, limits), part
+        assert dual.ambient == ideal.ambient
+
+
+def test_box_monomial_is_the_monomial_of_its_coordinates():
+    rng = random.Random(17)
+    for _ in range(300):
+        box = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 6)))
+        assert il.box_monomial(box) == M({V(k, a): 1 for k, a in enumerate(box, start=1)})
+
+
 def test_minimal_primes_rejects_nonsquarefree():
     with pytest.raises(NotSquarefree):
         il.minimal_primes(il.MonomialIdeal.make([M({V(1, 1): 2})]))

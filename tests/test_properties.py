@@ -9,12 +9,15 @@ from pferrer import diagram as dg
 from pferrer import ideal as il
 from pferrer import series as sr
 from pferrer.errors import NonPositiveLeaf, NonUniformDepth, NotDecreasing, SingletonDiagram
+from pferrer.limits import Limits
 from pferrer.oracle import hilbert_function_truncated
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+# A depth-1 draw has up to 40 variables, past the default hitting-set limit.
+WIDE = Limits(hitting_set_max_variables=64)
 
 # Per depth, the children per level from the top and the largest leaf: the
 # full box they give holds at most 40 boxes, and every drawn tree lies in it.
@@ -146,3 +149,13 @@ def test_series_routes_agree(tree):
     formula = sr.hilbert_series_linear(profile.df, part.depth, profile.sigma, n - profile.df)
     assert series == formula
     assert series.taylor(8) == hilbert_function_truncated(ideal, 8)
+
+
+@settings(PROPERTY, deadline=2000)
+@given(diagrams)
+def test_closed_form_primes_are_the_hitting_sets(tree):
+    part = dg.validate(tree)
+    ideal = il.ferrer_ideal(part)
+    dual = il.ferrer_dual(part, WIDE)
+    assert {frozenset(g.support) for g in dual.generators} == il.minimal_primes(ideal, WIDE)
+    assert dual == il.alexander_dual(ideal, WIDE)

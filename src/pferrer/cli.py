@@ -277,18 +277,27 @@ def _check_certificate(part, profile) -> dict:
     return {"name": "ara_certificate", "ok": ok, "ara": cert.ara}
 
 
-def _check_height_projdim(ideal, profile, limits) -> dict:
+def _check_height_projdim(part, ideal, profile, limits) -> dict:
     primes = il.minimal_primes(ideal, limits)
+    closed = {frozenset(g.support) for g in il.ferrer_dual(part, limits).generators}
     brute = oc.graded_betti_brute(ideal, limits)
     min_prime = min(len(p) for p in primes)
-    ok = min_prime == profile.df and brute.projdim == profile.delta
+    ok = closed == primes and min_prime == profile.df and brute.projdim == profile.delta
     result = {"name": "height_and_projdim", "ok": ok}
     if not ok:
         result["min_prime"] = min_prime
         result["df"] = profile.df
         result["oracle_projdim"] = brute.projdim
         result["delta"] = profile.delta
+        result["closed_form_only"] = _prime_names(closed - primes)
+        result["brute_force_only"] = _prime_names(primes - closed)
     return result
+
+
+def _prime_names(primes) -> list[str]:
+    """Each prime as the product of its variables, in canonical order."""
+    monomials = (il.Monomial.of(dict.fromkeys(p, 1)) for p in primes)
+    return [str(m) for m in sorted(monomials, key=il.monomial_key)]
 
 
 def cmd_verify(args, limits: Limits) -> int:
@@ -303,7 +312,7 @@ def cmd_verify(args, limits: Limits) -> int:
         _check_series(part, ideal, profile, limits, args.max_degree),
         _check_decomposition(part, ideal, args.seed, args.max_degree),
         _check_certificate(part, profile),
-        _check_height_projdim(ideal, profile, limits),
+        _check_height_projdim(part, ideal, profile, limits),
     ]
     ok = all(check["ok"] for check in checks)
     _emit({"input": part.to_tree(), "seed": args.seed, "checks": checks, "ok": ok})
@@ -326,10 +335,9 @@ def cmd_series(args, limits: Limits) -> int:
 def cmd_dual(args, limits: Limits) -> int:
     part = _load_diagram(args.path, limits)
     profile = dg.diagonal_profile(part)
-    ideal = il.ferrer_ideal(part)
     dual = il.ferrer_dual(part, limits)
     primal, dual_series = sr.dual_series(
-        profile.df, part.depth, profile.sigma, len(ideal.ambient)
+        profile.df, part.depth, profile.sigma, len(dual.ambient)
     )
     _emit(
         {

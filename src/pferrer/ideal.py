@@ -237,40 +237,39 @@ class IntersectionComponent(NamedTuple):
         return _antichain_ideal(gens)
 
 
-def equal_runs(part: PFerrerPartition) -> tuple[tuple[int, int], ...]:
-    """Maximal runs of equal consecutive children, as 1-based (start, end) pairs."""
+def _runs(children) -> list[tuple[int, int]]:
+    """Maximal runs of equal consecutive children, as 0-based [start, end) pairs."""
     runs = []
     start = 0
-    children = part.children
     for i in range(1, len(children) + 1):
         if i == len(children) or children[i] != children[start]:
-            runs.append((start + 1, i))
+            runs.append((start, i))
             start = i
-    return tuple(runs)
+    return runs
+
+
+def equal_runs(part: PFerrerPartition) -> tuple[tuple[int, int], ...]:
+    """Maximal runs of equal consecutive children, as 1-based (start, end) pairs."""
+    return tuple((start + 1, end) for start, end in _runs(part.children))
 
 
 def intersection_decomposition(part: PFerrerPartition) -> tuple[IntersectionComponent, ...]:
     """Write the diagram ideal as an intersection of linear-plus-tail components.
 
-    With runs r = 1..R of equal children (run r ending at child delta_r), the
-    components are Q_1, ..., Q_{R+1}: Q_j is generated by the last-group
-    variables of runs 1..R+1-j together with the ideal of run (R+2-j)'s child
-    (no tail for j = 1, no linear part for j = R+1).
+    Q_1 is generated by all the last-group variables, with no tail.  Then, for
+    each run of equal children from the last to the first, one component is
+    generated by x_{p,1..s}, s being the number of children before the run
+    (none for the first run), together with the ideal of the run's child.
     """
     if part.depth == 1:
         raise DepthOne("the decomposition is trivial in depth 1")
-    runs = equal_runs(part)
-    p = part.depth
-    run_vars = [
-        tuple(Variable(p, i) for i in range(start, end + 1)) for start, end in runs
-    ]
-    run_tails = [ferrer_ideal(part.children[end - 1]) for _, end in runs]
-    components = []
-    total = len(runs) + 1
-    for j in range(1, total + 1):
-        linear = tuple(v for vars_ in run_vars[: total - j] for v in vars_)
-        tail = run_tails[total - j] if j >= 2 else _antichain_ideal(())
-        components.append(IntersectionComponent(linear, tail))
+    children = part.children
+    last_group = tuple(Variable(part.depth, i) for i in range(1, len(children) + 1))
+    components = [IntersectionComponent(last_group, _antichain_ideal(()))]
+    for start, _ in reversed(_runs(children)):
+        components.append(
+            IntersectionComponent(last_group[:start], ferrer_ideal(children[start]))
+        )
     return tuple(components)
 
 
@@ -293,9 +292,18 @@ def minimal_primes(
     ``verify``'s height check and the tests."""
     variables = ideal.ambient
     return frozenset(
-        frozenset(variables[i] for i in range(len(variables)) if (c >> i) & 1)
-        for c in _transversals(ideal, limits)
+        frozenset(variables[i] for i in _bit_indices(c)) for c in _transversals(ideal, limits)
     )
+
+
+def _bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _transversals(ideal: MonomialIdeal, limits: Limits) -> list[int]:
@@ -312,7 +320,7 @@ def _transversals(ideal: MonomialIdeal, limits: Limits) -> list[int]:
     _check_hitting_set(len(ideal.ambient), limits)
     covers = [0]
     for g in sorted(set(ideal.masks())):
-        bits = [1 << i for i in range(g.bit_length()) if g >> i & 1]
+        bits = [1 << i for i in _bit_indices(g)]
         kept = [c for c in covers if c & g]
         grown = [c | bit for c in covers if not c & g for bit in bits]
         covers = kept + [c for c in grown if not any(k & c == k for k in kept)]
@@ -328,8 +336,7 @@ def _diagram_primes(part: PFerrerPartition, offsets: dict[int, int]) -> set[int]
     variables of runs 1..r, the intersection decomposition gives
         primes = {L_R} + union over r of {L_{r-1} + P : P in primes(c_r) - primes(c_{r-1})}
     with primes(c_0) empty; these sets are already minimal.  The runs are
-    walked here, not through the public ``equal_runs``, so that a tracer of
-    public calls sees one call per dual rather than one per level.
+    those of ``intersection_decomposition``, from the same ``_runs``.
     """
     base = offsets[part.depth]
     if part.is_leaf:
@@ -337,24 +344,18 @@ def _diagram_primes(part: PFerrerPartition, offsets: dict[int, int]) -> set[int]
     children = part.children
     primes = {((1 << len(children)) - 1) << base}
     previous: set[int] = set()
-    start = 0
-    for i in range(1, len(children) + 1):
-        if i == len(children) or children[i] != children[start]:
-            current = _diagram_primes(children[start], offsets)
-            linear = ((1 << start) - 1) << base
-            primes.update(linear | q for q in current - previous)
-            previous = current
-            start = i
+    for start, _ in _runs(children):
+        current = _diagram_primes(children[start], offsets)
+        linear = ((1 << start) - 1) << base
+        primes.update(linear | q for q in current - previous)
+        previous = current
     return primes
 
 
 def _dual_ideal(masks: Iterable[int], ambient: tuple[Variable, ...]) -> MonomialIdeal:
     """The squarefree ideal with one generator per mask, bit i standing for
     ``ambient[i]``: the Alexander dual when the masks are the minimal primes."""
-    gens = [
-        Monomial(tuple((ambient[i], 1) for i in range(c.bit_length()) if c >> i & 1))
-        for c in masks
-    ]
+    gens = [Monomial(tuple((ambient[i], 1) for i in _bit_indices(c))) for c in masks]
     return _antichain_ideal(gens, ambient)
 
 

@@ -11,6 +11,7 @@ with every entry in degree j + p - 1, so the two routes compare by ``==``.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -157,16 +158,15 @@ class AraCertificate:
 
 
 def ara_certificate(part: PFerrerPartition) -> AraCertificate:
-    profile = diagonal_profile(part)
     monomials = {box: box_monomial(box) for box in boxes(part)}
-    by_diagonal: dict[int, list[Box]] = {k: [] for k in range(1, profile.delta + 1)}
+    by_diagonal: defaultdict[int, list[Box]] = defaultdict(list)
     for box in sorted(monomials):
         by_diagonal[diagonal_index(box)].append(box)
-    classes = tuple(
-        tuple(monomials[b] for b in by_diagonal[k]) for k in range(1, profile.delta + 1)
-    )
+    # the last diagonal; every diagonal 1..delta is nonempty, by downward closure
+    delta = max(by_diagonal)
+    classes = tuple(tuple(monomials[b] for b in by_diagonal[k]) for k in range(1, delta + 1))
     witnesses = []
-    for k in range(1, profile.delta + 1):
+    for k in range(1, delta + 1):
         for first, second in combinations(by_diagonal[k], 2):
             witness_box = _lowered_box(first, second)
             witness_diag = diagonal_index(witness_box)

@@ -24,7 +24,7 @@ import math
 from functools import lru_cache
 
 from .errors import SizeLimitExceeded
-from .ideal import GradedBettiTable, MonomialIdeal
+from .ideal import GradedBettiTable, MonomialIdeal, _bit_indices
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -38,17 +38,6 @@ def _submask_faces(maximal: list[int]) -> set[int]:
                 break
             sub = (sub - 1) & top
     return faces
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
 
 
 def _rank(columns) -> int:
@@ -86,7 +75,7 @@ def _rank(columns) -> int:
 def _boundary_columns(sources: list[int], target_index: dict[int, int]):
     for face in sources:
         col = {}
-        for position, v in enumerate(_bits(face)):
+        for position, v in enumerate(_bit_indices(face)):
             row = target_index[face & ~(1 << v)]
             col[row] = 1 if position % 2 == 0 else -1
         yield col
@@ -158,7 +147,7 @@ def _strong_collapse(vertices: int, sets) -> tuple[int, list[int]] | None:
             covered |= s
         if covered != vertices:
             return None
-        members = _bits(vertices)
+        members = _bit_indices(vertices)
         incidence = {
             v: sum(1 << i for i, s in enumerate(sets) if s >> v & 1) for v in members
         }

@@ -223,7 +223,7 @@ def hilbert_series_monomial(
     )
 
 
-@lru_cache(maxsize=100_000)
+@lru_cache(maxsize=4096)
 def _numerator_splitting(gens: frozenset[int]) -> tuple[int, ...]:
     """Numerator over (1-t)^N of S/I for the squarefree ideal I whose minimal
     generators are the bitmasks ``gens`` (N being any count of variables that
@@ -239,6 +239,11 @@ def _numerator_splitting(gens: frozenset[int]) -> tuple[int, ...]:
       on ties): K(I) = (1 - t) K(generators without x) + t K(I : x).  A
       factor of degree d in every generator takes d pivots, with nothing
       left without x, adding (1 - t)(1 + t + ... + t^(d-1)) = 1 - t^d.
+
+    The memo is shared by every call in the process and bounded at 4096
+    entries, above the 1,561 that all 480 ops of the macaulay benchmark pool
+    make together (2.7 KB an entry, by tracemalloc) and the 873 of the 304
+    verify pool ops (0.8 KB); full, it holds about 11 MB.
     """
     out = [0]
     shift = 0  # K(original gens) = out + t^shift * K(gens)

@@ -128,3 +128,15 @@ def all_staircases(max_boxes: int) -> list[dg.PFerrerPartition]:
 
     extend([], max_boxes, max_boxes)
     return out
+
+
+def acceptance_corpus() -> list[dg.PFerrerPartition]:
+    """The acceptance suite's 332 diagrams: the two named diagrams, all small
+    full diagrams, every staircase with at most 12 boxes, and 50 random
+    diagrams within oracle limits."""
+    rng = random.Random(20250811)
+    parts = [dg.validate(EX4322), dg.validate(EX54432)]
+    parts += [dg.full_diagram(p, c) for p in (1, 2, 3) for c in (1, 2, 3)]
+    parts += all_staircases(12)
+    parts += random_oracle_sized(rng, 50)
+    return parts

@@ -18,15 +18,12 @@ from functools import reduce
 import pytest
 
 from helpers import (
-    EX4322,
-    EX54432,
     HVECTOR_GENERATORS,
     HVECTOR_OMITTED_DUAL,
     HVECTOR_OMITTED_PRIME,
     HVECTOR_PUBLISHED_DUAL,
     HVECTOR_PUBLISHED_PRIMES,
-    all_staircases,
-    random_oracle_sized,
+    acceptance_corpus,
 )
 from pferrer import cli
 from pferrer import diagram as dg
@@ -44,15 +41,8 @@ def criterion(number: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def corpus():
-    """Criterion-3 fixture list: the two named diagrams, all small full
-    diagrams, every staircase with at most 12 boxes, and 50 random diagrams
-    within oracle limits."""
-    rng = random.Random(20250811)
-    parts = [dg.validate(EX4322), dg.validate(EX54432)]
-    parts += [dg.full_diagram(p, c) for p in (1, 2, 3) for c in (1, 2, 3)]
-    parts += all_staircases(12)
-    parts += random_oracle_sized(rng, 50)
-    return parts
+    """Criterion-3 fixture list (``helpers.acceptance_corpus``)."""
+    return acceptance_corpus()
 
 
 @pytest.fixture(scope="module")

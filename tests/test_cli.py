@@ -12,6 +12,7 @@ import pytest
 
 from helpers import FIXTURES
 from pferrer import cli
+from pferrer import diagram as dg
 from pferrer import ideal as il
 from pferrer import invariants as iv
 from pferrer import oracle as oc
@@ -272,6 +273,26 @@ def test_verify_betti_entry_in_a_wrong_degree_exit_3(capsys, monkeypatch):
     failed = [check for check in doc["checks"] if not check["ok"]]
     assert [check["name"] for check in failed] == ["betti_formula_vs_oracle"]
     assert failed[0]["formula"] == failed[0]["oracle"] == [4, 4, 1]
+
+
+def test_verify_closed_form_prime_missing_exit_3(capsys, monkeypatch):
+    # the height and the projective dimension still agree; only the primes differ
+    ferrer_dual = il.ferrer_dual
+
+    def short(part, limits):
+        dual = ferrer_dual(part, limits)
+        return dataclasses.replace(dual, generators=dual.generators[:-1])
+
+    monkeypatch.setattr(il, "ferrer_dual", short)
+    code, out = run_cli(capsys, "verify", str(FIXTURES / "staircase_22.json"))
+    assert code == 3
+    doc = json.loads(out)
+    failed = [check for check in doc["checks"] if not check["ok"]]
+    assert [check["name"] for check in failed] == ["height_and_projdim"]
+    dropped = ferrer_dual(dg.validate([2, 2])).generators[-1]
+    assert failed[0]["closed_form_only"] == []
+    assert failed[0]["brute_force_only"] == [str(dropped)]
+    assert failed[0]["min_prime"] == failed[0]["df"]
 
 
 @pytest.mark.parametrize("argv", [["report", "--certificate", "-"], ["verify", "-"]])

@@ -254,13 +254,20 @@ def _check_decomposition(part, ideal, seed: int, max_degree: int) -> dict:
     ok = intersection.generators == ideal.generators
     rng = random.Random(seed)
     variables = list(ideal.ambient)
+    samples = []
     for _ in range(32):
         chosen = rng.sample(variables, rng.randint(1, min(4, len(variables))))
         monomial = il.Monomial.of({v: rng.randint(1, 2) for v in chosen})
-        if monomial.degree > max_degree:
-            continue
-        in_ideal = ideal.contains(monomial)
-        in_all = all(c.contains(monomial) for c in components)
+        if monomial.degree <= max_degree:
+            samples.append(monomial)
+    # one polarization over every ambient makes membership a submask test
+    ambient = set(ideal.ambient).union(*(c.ambient for c in components))
+    _, _, (gens, points, *parts) = il._polarize(
+        [ideal.generators, samples, *(c.generators for c in components)], ambient
+    )
+    for m in points:
+        in_ideal = any(g & m == g for g in gens)
+        in_all = all(any(g & m == g for g in part_gens) for part_gens in parts)
         if in_ideal != in_all:
             ok = False
             break

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .diagram import Box, PFerrerPartition, boxes
 from .errors import DepthOne, NotSquarefree, SizeLimitExceeded
@@ -118,31 +118,47 @@ class MonomialIdeal:
         return all(g.is_squarefree for g in self.generators)
 
     def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.generators)
+        exps = dict(m.factors)
+        return any(all(exps.get(v, 0) >= e for v, e in g.factors) for g in self.generators)
 
     def masks(self) -> tuple[int, ...]:
-        """The generators as int bitmasks of their polarization, in order.
-
-        Each ambient variable, in order, owns a block of max(1, e) bits, e
-        being its largest exponent, and x^a sets the lowest a bits of x's
-        block; so for a squarefree ideal bit i is ``ambient[i]``.
-        """
-        width: dict[Variable, int] = {}
-        for g in self.generators:
-            for v, e in g.factors:
-                if e > width.get(v, 1):
-                    width[v] = e
-        offset, bit = {}, 0
-        for v in self.ambient:
-            offset[v] = bit
-            bit += width.get(v, 1)
-        return tuple(
-            sum(((1 << e) - 1) << offset[v] for v, e in g.factors)
-            for g in self.generators
-        )
+        """The generators as int bitmasks of their polarization, in order,
+        each ambient variable owning one block in ambient order (see
+        ``_polarize``); so for a squarefree ideal bit i is ``ambient[i]``."""
+        return _polarize((self.generators,), self.ambient)[2][0]
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
+
+
+def _polarize(
+    groups: Sequence[Sequence[Monomial]], ambient: Iterable[Variable]
+) -> tuple[dict[Variable, int], dict[Variable, int], list[tuple[int, ...]]]:
+    """One joint polarization of several lists of monomials, as int bitmasks.
+
+    Each variable of ``ambient``, in order, owns a block of max(1, e) bits, e
+    being its largest exponent in any of the lists, and x^a sets the lowest a
+    bits of x's block.  Exponents become nested low-bit masks, so under one
+    polarization a monomial divides another exactly when its mask is a
+    submask of the other's, the OR of two masks is their lcm's, and the
+    popcount of a mask's block is its exponent.  Returns each variable's
+    block offset, the block widths above 1, and the lists' masks in order.
+    The ambient must hold every variable the lists use.
+    """
+    width: dict[Variable, int] = {}
+    for group in groups:
+        for g in group:
+            for v, e in g.factors:
+                if e > width.get(v, 1):
+                    width[v] = e
+    offset, bit = {}, 0
+    for v in ambient:
+        offset[v] = bit
+        bit += width.get(v, 1)
+    return offset, width, [
+        tuple(sum(((1 << e) - 1) << offset[v] for v, e in g.factors) for g in group)
+        for group in groups
+    ]
 
 
 def _antichain_ideal(gens: Iterable[Monomial], ambient: Iterable[Variable] = ()) -> MonomialIdeal:

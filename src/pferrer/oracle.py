@@ -11,9 +11,12 @@ below the multidegree, renumbered, so it is memoized per pattern in one
 bounded memo shared by every call in the process (4096 patterns).
 Truncated Hilbert functions count on true exponent vectors, unpolarized,
 variable by variable: the counts in every degree up to the bound are
-memoized per (variable, surviving generators), and each interval of
-exponents over which the surviving set is constant adds one sub-vector as a
-running sum.  Nothing here knows about diagrams or closed formulas, so
+memoized per (variable, surviving generators), a surviving generator with
+no exponent on the variables left makes the count zero without recursing,
+and each interval of exponents over which the surviving set is constant
+adds one sub-vector as a running sum.  Intersections of monomial ideals
+polarize both ideals jointly and take minimal ORs of their masks.  Nothing
+here knows about diagrams or closed formulas, so
 agreement with the formula modules is a genuine two-route check; the Betti
 table type both routes return, ``GradedBettiTable``, lives in ``ideal``.
 """
@@ -24,7 +27,8 @@ import math
 from functools import lru_cache
 
 from .errors import SizeLimitExceeded
-from .ideal import GradedBettiTable, MonomialIdeal, _bit_indices
+from .ideal import GradedBettiTable, Monomial, MonomialIdeal, variable_key
+from .ideal import _antichain_ideal, _bit_indices, _polarize
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -278,19 +282,22 @@ def hilbert_function_truncated(
 
     ``count(i, active)`` is the vector of such counts, in every degree up to
     ``max_degree``, over the variables i.. when only the generators in
-    ``active`` can still divide; it is memoized on that pair.  Along variable
-    i the surviving set changes only at 0 and at the generators' exponents on
-    i up to ``max_degree``, so each interval [low, high) between those levels
-    reads one sub-vector and adds it, shifted by low..high-1, as a running
-    sum.
+    ``active`` can still divide; it is memoized on that pair.  An active
+    generator with no exponent on variables i.. divides every monomial left,
+    so when ``active`` meets ``done[i]``, the generators supported on
+    variables < i, the count is zero and is neither computed nor memoized;
+    this also covers the unit ideal and the end of the variables.  Along
+    variable i the surviving set changes only at 0 and at the generators'
+    exponents on i up to ``max_degree``, so each interval [low, high) between
+    those levels reads one sub-vector and adds it, shifted by low..high-1,
+    as a running sum.
     """
     _check_truncation(max_degree, limits)
     variables = ideal.ambient
     n = len(variables)
     gens = [tuple(g.exponent(v) for v in variables) for g in ideal.generators]
-    if any(sum(g) == 0 for g in gens):
-        return (0,) * (max_degree + 1)
     top = max_degree + 1
+    zeros = (0,) * top
     # levels[i]: (e, generators whose exponent on variable i is at most e) for
     # e = 0 and each such exponent up to max_degree, ascending
     levels = [
@@ -300,9 +307,14 @@ def hilbert_function_truncated(
         ]
         for i in range(n)
     ]
+    # done[i]: the generators whose last variable with an exponent is before i
+    last = [max((i for i, e in enumerate(g) if e), default=-1) for g in gens]
+    done = [sum(1 << k for k, j in enumerate(last) if j < i) for i in range(n + 1)]
     memo: dict = {}
 
     def count(i: int, active: int) -> tuple[int, ...]:
+        if active & done[i]:
+            return zeros
         key = (i, active)
         cached = memo.get(key)
         if cached is not None:
@@ -315,8 +327,6 @@ def hilbert_function_truncated(
                 result = tuple(
                     math.comb(s + remaining - 1, remaining - 1) for s in range(top)
                 )
-        elif remaining == 0:
-            result = (0,) * top
         else:
             total = [0] * top
             steps = levels[i]
@@ -341,6 +351,23 @@ def hilbert_function_truncated(
 
 
 def intersect_monomial(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Intersection via pairwise lcms, minimalized."""
-    gens = [g.lcm(h) for g in a.generators for h in b.generators]
-    return MonomialIdeal.make(gens, ambient=tuple(set(a.ambient) | set(b.ambient)))
+    """The intersection of two monomial ideals, over the union of their
+    ambients: its generators are the minimal pairwise lcms.
+
+    Both ideals are polarized together (``_polarize``), so each lcm is the OR
+    of two masks, minimal ones are kept by one pass by ascending popcount
+    with a subset test, and each block's popcount decodes back to an
+    exponent.  Exact for any monomial ideals, squarefree or not.
+    """
+    ambient = sorted(set(a.ambient).union(b.ambient), key=variable_key)
+    offset, width, (left, right) = _polarize((a.generators, b.generators), ambient)
+    blocks = [(v, ((1 << width.get(v, 1)) - 1) << offset[v]) for v in ambient]
+    minimal: list[int] = []
+    for m in sorted({g | h for g in left for h in right}, key=int.bit_count):
+        if not any(k & m == k for k in minimal):
+            minimal.append(m)
+    gens = [
+        Monomial(tuple((v, e) for v, block in blocks if (e := (m & block).bit_count())))
+        for m in minimal
+    ]
+    return _antichain_ideal(gens, ambient)

@@ -69,6 +69,13 @@ HVECTOR_PUBLISHED_DUAL = [
 HVECTOR_OMITTED_DUAL = "x2_1*x1_1*x1_2*x1_3"
 
 
+def lcm_intersection(a: il.MonomialIdeal, b: il.MonomialIdeal) -> il.MonomialIdeal:
+    """The intersection by pairwise lcms, minimalized: a reference for
+    ``oracle.intersect_monomial``, independent of its polarized masks."""
+    gens = [g.lcm(h) for g in a.generators for h in b.generators]
+    return il.MonomialIdeal.make(gens, ambient=tuple(set(a.ambient) | set(b.ambient)))
+
+
 def meet(a: dg.PFerrerPartition, b: dg.PFerrerPartition) -> dg.PFerrerPartition:
     """Componentwise minimum; the partition of the intersection of box sets."""
     if a.depth == 1:

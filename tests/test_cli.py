@@ -6,16 +6,18 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
-from helpers import FIXTURES
+from helpers import EX4322, FIXTURES, lcm_intersection
 from pferrer import cli
 from pferrer import diagram as dg
 from pferrer import ideal as il
 from pferrer import invariants as iv
 from pferrer import oracle as oc
+from pferrer import series as sr
 from pferrer.errors import BadLimits
 from pferrer.limits import Limits
 
@@ -293,6 +295,69 @@ def test_verify_closed_form_prime_missing_exit_3(capsys, monkeypatch):
     assert failed[0]["closed_form_only"] == []
     assert failed[0]["brute_force_only"] == [str(dropped)]
     assert failed[0]["min_prime"] == failed[0]["df"]
+
+
+def _failed_checks(out):
+    return [check for check in json.loads(out)["checks"] if not check["ok"]]
+
+
+def test_verify_wrong_decomposition_component_exit_3(capsys, monkeypatch):
+    decomposition = il.intersection_decomposition
+
+    def wrong(part):
+        # Q_1 loses its last variable
+        first, *rest = decomposition(part)
+        return (first._replace(linear=first.linear[:-1]), *rest)
+
+    monkeypatch.setattr(il, "intersection_decomposition", wrong)
+    code, out = run_cli(capsys, "verify", str(FIXTURES / "example_4322.json"))
+    assert code == 3
+    failed = _failed_checks(out)
+    assert [check["name"] for check in failed] == ["intersection_decomposition"]
+    part = dg.validate(EX4322)
+    expected = reduce(lcm_intersection, [c.ideal() for c in wrong(part)])
+    assert failed[0]["intersection"] == [str(g) for g in expected.generators]
+    assert failed[0]["ideal"] == [str(g) for g in il.ferrer_ideal(part).generators]
+
+
+def test_verify_membership_only_disagreement_exit_3(capsys, monkeypatch):
+    # the intersection matches the ideal, so only the sampled monomials can
+    # see that Q_1 = (x2_1, x2_2) widened by x1_1 holds x1_1 and x1_1*x1_2
+    ideal = il.ferrer_ideal(dg.validate([2, 2]))
+    decomposition = il.intersection_decomposition
+
+    def widened(part):
+        first, *rest = decomposition(part)
+        return (first._replace(linear=first.linear + (il.Variable(1, 1),)), *rest)
+
+    monkeypatch.setattr(il, "intersection_decomposition", widened)
+    monkeypatch.setattr(oc, "intersect_monomial", lambda a, b: ideal)
+    code, out = run_cli(capsys, "verify", str(FIXTURES / "staircase_22.json"))
+    assert code == 3
+    failed = _failed_checks(out)
+    assert [check["name"] for check in failed] == ["intersection_decomposition"]
+    assert failed[0]["intersection"] == failed[0]["ideal"]
+    assert failed[0]["ideal"] == [str(g) for g in ideal.generators]
+
+
+def test_verify_truncated_count_off_by_one_exit_3(capsys, monkeypatch):
+    truncated = oc.hilbert_function_truncated
+
+    def off_by_one(ideal, max_degree, limits):
+        counts = list(truncated(ideal, max_degree, limits))
+        counts[2] += 1
+        return tuple(counts)
+
+    monkeypatch.setattr(oc, "hilbert_function_truncated", off_by_one)
+    code, out = run_cli(capsys, "verify", str(FIXTURES / "example_4322.json"))
+    assert code == 3
+    failed = _failed_checks(out)
+    assert [check["name"] for check in failed] == ["hilbert_series"]
+    ideal = il.ferrer_ideal(dg.validate(EX4322))
+    expected = list(sr.hilbert_series_monomial(ideal).taylor(12))
+    expected[2] += 1
+    assert failed[0]["truncated"] == expected
+    assert failed[0]["formula"] == failed[0]["from_monomials"]
 
 
 @pytest.mark.parametrize("argv", [["report", "--certificate", "-"], ["verify", "-"]])

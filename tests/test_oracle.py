@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from helpers import EX4322, EX54432, random_partition
+from helpers import EX4322, EX54432, lcm_intersection, random_partition
 from pferrer import diagram as dg
 from pferrer import ideal as il
 from pferrer import invariants as iv
@@ -379,6 +379,26 @@ def test_truncated_matches_naive_enumeration():
         assert oc.hilbert_function_truncated(ideal, top) == _naive_truncated(ideal, top)
 
 
+def test_truncated_prunes_to_naive_enumeration():
+    # generators on the first variables only, trailing variables no generator
+    # uses, and exponents at or past the degree bound: an active generator is
+    # often done before the last variable, and the count stops there
+    rng = random.Random(137)
+    variables = [V(1 + i % 2, 1 + i // 2) for i in range(6)]
+    for trial in range(160):
+        ambient = variables[: rng.randint(1, 6)]
+        top = rng.randint(0, 5)
+        early = ambient[: rng.randint(1, len(ambient))]
+        gens = []
+        for _ in range(rng.randint(1, 5)):
+            chosen = rng.sample(early, rng.randint(1, min(2, len(early))))
+            gens.append(M({v: rng.randint(1, top + 2) for v in chosen}))
+        if trial % 5 == 0:
+            gens.append(M({early[0]: top}) if top else il.MONOMIAL_ONE)
+        ideal = il.MonomialIdeal.make(gens, ambient=ambient)
+        assert oc.hilbert_function_truncated(ideal, top) == _naive_truncated(ideal, top)
+
+
 def test_truncated_example_54432_to_degree_20():
     ideal = il.ferrer_ideal(dg.validate(EX54432))
     series = sr.hilbert_series_monomial(ideal)
@@ -427,3 +447,32 @@ def test_intersect_commutes_and_associates():
         left = oc.intersect_monomial(ab, c).generators
         right = oc.intersect_monomial(a, oc.intersect_monomial(b, c)).generators
         assert left == right
+
+
+def test_intersect_matches_pairwise_lcms():
+    rng = random.Random(139)
+    variables = [V(1 + i % 3, 1 + i // 3) for i in range(7)]
+
+    def random_ideal():
+        ambient = rng.sample(variables, rng.randint(1, 5))
+        roll = rng.random()
+        if roll < 0.1:
+            return il.MonomialIdeal.make([], ambient=ambient)  # the zero ideal
+        if roll < 0.2:
+            return il.MonomialIdeal.make([il.MONOMIAL_ONE], ambient=ambient)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            chosen = rng.sample(ambient, rng.randint(1, min(3, len(ambient))))
+            gens.append(M({v: rng.randint(1, 3) for v in chosen}))
+        return il.MonomialIdeal.make(gens, ambient=ambient)
+
+    for _ in range(300):
+        a, b = random_ideal(), random_ideal()
+        both = oc.intersect_monomial(a, b)
+        reference = lcm_intersection(a, b)
+        assert both.generators == reference.generators
+        assert both.ambient == reference.ambient
+        for _ in range(8):
+            chosen = rng.sample(both.ambient, rng.randint(0, len(both.ambient)))
+            m = M({v: rng.randint(1, 4) for v in chosen})
+            assert both.contains(m) == (a.contains(m) and b.contains(m))

@@ -248,9 +248,7 @@ def _check_decomposition(part, ideal, seed: int, max_degree: int) -> dict:
     if part.depth == 1:
         return {"name": "intersection_decomposition", "ok": True, "skipped": "depth 1"}
     components = [c.ideal() for c in il.intersection_decomposition(part)]
-    intersection = components[0]
-    for component in components[1:]:
-        intersection = oc.intersect_monomial(intersection, component)
+    intersection = oc.intersect_monomial(*components)
     ok = intersection.generators == ideal.generators
     rng = random.Random(seed)
     variables = list(ideal.ambient)
@@ -285,26 +283,23 @@ def _check_certificate(part, profile) -> dict:
 
 
 def _check_height_projdim(part, ideal, profile, limits) -> dict:
-    primes = il.minimal_primes(ideal, limits)
-    closed = {frozenset(g.support) for g in il.ferrer_dual(part, limits).generators}
+    # one dual generator per minimal prime, the product of its variables
+    hitting = il.alexander_dual(ideal, limits)  # the hitting-set route
+    closed = il.ferrer_dual(part, limits)
     brute = oc.graded_betti_brute(ideal, limits)
-    min_prime = min(len(p) for p in primes)
-    ok = closed == primes and min_prime == profile.df and brute.projdim == profile.delta
+    min_prime = min(g.degree for g in hitting.generators)
+    ok = closed == hitting and min_prime == profile.df and brute.projdim == profile.delta
     result = {"name": "height_and_projdim", "ok": ok}
     if not ok:
         result["min_prime"] = min_prime
         result["df"] = profile.df
         result["oracle_projdim"] = brute.projdim
         result["delta"] = profile.delta
-        result["closed_form_only"] = _prime_names(closed - primes)
-        result["brute_force_only"] = _prime_names(primes - closed)
+        # generators on one side only, in the canonical order both duals keep
+        closed_gens, hitting_gens = set(closed.generators), set(hitting.generators)
+        result["closed_form_only"] = [str(g) for g in closed.generators if g not in hitting_gens]
+        result["brute_force_only"] = [str(g) for g in hitting.generators if g not in closed_gens]
     return result
-
-
-def _prime_names(primes) -> list[str]:
-    """Each prime as the product of its variables, in canonical order."""
-    monomials = (il.Monomial.of(dict.fromkeys(p, 1)) for p in primes)
-    return [str(m) for m in sorted(monomials, key=il.monomial_key)]
 
 
 def cmd_verify(args, limits: Limits) -> int:

@@ -304,8 +304,8 @@ def minimal_primes(
 ) -> frozenset[frozenset[Variable]]:
     """Inclusion-minimal variable sets meeting the support of every generator,
     for any squarefree ideal, by brute force.  A diagram ideal's are read off
-    its decomposition by ``ferrer_dual``; this route stays for other ideals,
-    ``verify``'s height check and the tests."""
+    its decomposition by ``ferrer_dual``; this route stays for other ideals
+    and the tests."""
     variables = ideal.ambient
     return frozenset(
         frozenset(variables[i] for i in _bit_indices(c)) for c in _transversals(ideal, limits)

@@ -6,7 +6,8 @@ polarized generator bitmasks that also feed the Hilbert series
 homology of the upper Koszul simplicial complex is read off a sequential
 element matching (discrete Morse theory), with the exact rational rank of
 boundary matrices as the fallback when the critical faces lie in more than
-one dimension.  That homology depends only on the pattern of generators
+one dimension, refused (``SizeLimitExceeded``) past ``EXACT_RANK_MAX_FACES``
+faces.  That homology depends only on the pattern of generators
 below the multidegree, renumbered, so it is memoized per pattern in one
 bounded memo shared by every call in the process (4096 patterns).
 Truncated Hilbert functions count on true exponent vectors, unpolarized,
@@ -15,7 +16,7 @@ memoized per (variable, surviving generators), a surviving generator with
 no exponent on the variables left makes the count zero without recursing,
 and each interval of exponents over which the surviving set is constant
 adds one sub-vector as a running sum.  Intersections of monomial ideals
-polarize both ideals jointly and take minimal ORs of their masks.  Nothing
+polarize all of them jointly, once, and fold minimal ORs of masks.  Nothing
 here knows about diagrams or closed formulas, so
 agreement with the formula modules is a genuine two-route check; the Betti
 table type both routes return, ``GradedBettiTable``, lives in ``ideal``.
@@ -30,6 +31,11 @@ from .errors import SizeLimitExceeded
 from .ideal import GradedBettiTable, Monomial, MonomialIdeal, variable_key
 from .ideal import _antichain_ideal, _bit_indices, _polarize
 from .limits import DEFAULT_LIMITS, Limits
+
+# The exact-rank fallback of ``_morse_homology`` refuses complexes of more
+# faces than this: its elimination grows about with the cube of the faces,
+# and the diagram ideals of the tests and benchmark pools never reach it.
+EXACT_RANK_MAX_FACES = 1024
 
 
 def _submask_faces(maximal: list[int]) -> set[int]:
@@ -121,7 +127,7 @@ def _morse_homology(faces: set[int], vertex_count: int) -> dict[int, int]:
     the complex is homotopy equivalent to one with a cell per critical face.
     When those all have one size s, the Morse complex has zero differential
     and the homology is their count in dimension s - 1; otherwise exact rank
-    over the rationals decides.
+    over the rationals decides, on at most ``EXACT_RANK_MAX_FACES`` faces.
     """
     critical = set(faces)
     for v in range(vertex_count):
@@ -131,6 +137,10 @@ def _morse_homology(faces: set[int], vertex_count: int) -> dict[int, int]:
         critical.difference_update([f | bit for f in matched])
     sizes = {f.bit_count() for f in critical}
     if len(sizes) > 1:
+        if len(faces) > EXACT_RANK_MAX_FACES:
+            raise SizeLimitExceeded(
+                f"{len(faces)} faces exceed exact-rank limit {EXACT_RANK_MAX_FACES}"
+            )
         return _homology_of_faces(faces)
     return {size - 1: len(critical) for size in sizes}
 
@@ -221,9 +231,9 @@ def graded_betti_brute(
     """Graded Betti numbers of S/I over the rationals, by upper Koszul
     homology over the lcm lattice.
 
-    Polarization (``MonomialIdeal.masks``) keeps graded Betti numbers, so
-    this works on squarefree bitmasks, and ``oracle_max_variables`` counts
-    polarized variables.  For alpha in the OR-closure of the masks, faces are
+    Polarization (``_polarize``) keeps graded Betti numbers, so this works on
+    squarefree bitmasks, and ``oracle_max_variables`` counts polarized
+    variables.  For alpha in the OR-closure of the masks, faces are
     the subsets of alpha avoiding some generator below alpha, and
     beta_{j, alpha}(S/I) is the reduced homology rank of that complex in
     dimension j - 2, read off an element matching after strong collapse, with
@@ -233,13 +243,9 @@ def graded_betti_brute(
     process while it stays in the memo of ``_pattern_homology``, which keeps
     the 4096 most recently used.
     """
-    masks = ideal.masks()
-    union = 0
-    for g in masks:
-        union |= g
-    # every ambient variable owns one bit, and a used one of width e has e
-    used = {v for g in ideal.generators for v in g.support}
-    nvars = len(ideal.ambient) - len(used) + union.bit_count()
+    _, width, (masks,) = _polarize((ideal.generators,), ideal.ambient)
+    # every ambient variable owns one bit, and one of width w above 1 owns w
+    nvars = len(ideal.ambient) + sum(width.values()) - len(width)
     if nvars > limits.oracle_max_variables:
         raise SizeLimitExceeded(
             f"{nvars} variables exceed oracle limit {limits.oracle_max_variables}"
@@ -295,7 +301,8 @@ def hilbert_function_truncated(
     _check_truncation(max_degree, limits)
     variables = ideal.ambient
     n = len(variables)
-    gens = [tuple(g.exponent(v) for v in variables) for g in ideal.generators]
+    factors = [dict(g.factors) for g in ideal.generators]
+    gens = [tuple(f.get(v, 0) for v in variables) for f in factors]
     top = max_degree + 1
     zeros = (0,) * top
     # levels[i]: (e, generators whose exponent on variable i is at most e) for
@@ -350,22 +357,28 @@ def hilbert_function_truncated(
     return counts
 
 
-def intersect_monomial(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """The intersection of two monomial ideals, over the union of their
-    ambients: its generators are the minimal pairwise lcms.
+def intersect_monomial(first: MonomialIdeal, *rest: MonomialIdeal) -> MonomialIdeal:
+    """The intersection of monomial ideals, over the union of their ambients:
+    its generators are the minimal lcms of one generator from each.
 
-    Both ideals are polarized together (``_polarize``), so each lcm is the OR
-    of two masks, minimal ones are kept by one pass by ascending popcount
-    with a subset test, and each block's popcount decodes back to an
-    exponent.  Exact for any monomial ideals, squarefree or not.
+    All the ideals are polarized together once (``_polarize``), so an lcm is
+    an OR of masks.  From the unit ideal's mask 0, each ideal's masks in turn
+    are ORed into the minimal ones so far, kept minimal by one pass by
+    ascending popcount with a subset test, and the last ones decode once,
+    each block's popcount back to an exponent.  Exact for any monomial
+    ideals, squarefree or not.
     """
-    ambient = sorted(set(a.ambient).union(b.ambient), key=variable_key)
-    offset, width, (left, right) = _polarize((a.generators, b.generators), ambient)
+    ideals = (first, *rest)
+    ambient = sorted(set().union(*(i.ambient for i in ideals)), key=variable_key)
+    offset, width, groups = _polarize([i.generators for i in ideals], ambient)
+    minimal = [0]
+    for masks in groups:
+        lcms = sorted({g | h for g in minimal for h in masks}, key=int.bit_count)
+        minimal = []
+        for m in lcms:
+            if not any(k & m == k for k in minimal):
+                minimal.append(m)
     blocks = [(v, ((1 << width.get(v, 1)) - 1) << offset[v]) for v in ambient]
-    minimal: list[int] = []
-    for m in sorted({g | h for g in left for h in right}, key=int.bit_count):
-        if not any(k & m == k for k in minimal):
-            minimal.append(m)
     gens = [
         Monomial(tuple((v, e) for v, block in blocks if (e := (m & block).bit_count())))
         for m in minimal

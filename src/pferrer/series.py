@@ -84,7 +84,7 @@ class IntPolynomial:
             return None
         return IntPolynomial.of(accumulate(self.coeffs[:-1]))
 
-    def pretty(self, var: str = "t") -> str:
+    def pretty(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
@@ -95,7 +95,7 @@ class IntPolynomial:
             if k == 0:
                 term = str(mag)
             else:
-                power = var if k == 1 else f"{var}^{k}"
+                power = "t" if k == 1 else f"t^{k}"
                 term = power if mag == 1 else f"{mag}{power}"
             sign = "-" if c < 0 else "+"
             if not parts:

@@ -4,6 +4,7 @@ import itertools
 import math
 import pathlib
 import random
+from functools import reduce
 
 import pytest
 
@@ -135,7 +136,7 @@ def test_oracle_imports_no_formula_module():
         elif isinstance(node, ast.ImportFrom):
             imported.update((node.module or "").split("."))
             imported.update(alias.name for alias in node.names)
-    assert imported.isdisjoint({"diagram", "invariants", "series"})
+    assert imported.isdisjoint({"diagram", "invariants", "series", "macaulay", "cli"})
     assert {"errors", "ideal", "limits"} <= imported
 
 
@@ -262,6 +263,17 @@ def test_graded_betti_size_limits():
         oc.graded_betti_brute(ideal, Limits(oracle_max_variables=4))
     with pytest.raises(SizeLimitExceeded):
         oc.graded_betti_brute(ideal, Limits(oracle_max_generators=4))
+
+
+def test_graded_betti_refuses_exact_rank_on_large_complexes():
+    # inside the default variable and generator limits, yet a lattice element
+    # leaves critical faces in two dimensions among 4,796 faces, and without
+    # the bound the exact rank over such complexes runs for minutes
+    rng = random.Random(2)
+    xs = [V(1, i) for i in range(1, 17)]
+    gens = [M({v: 1 for v in rng.sample(xs, rng.randint(3, 5))}) for _ in range(30)]
+    with pytest.raises(SizeLimitExceeded, match="exceed exact-rank limit 1024"):
+        oc.graded_betti_brute(il.MonomialIdeal.make(gens))
 
 
 def test_graded_betti_does_not_depend_on_the_pattern_memo():
@@ -476,3 +488,15 @@ def test_intersect_matches_pairwise_lcms():
             chosen = rng.sample(both.ambient, rng.randint(0, len(both.ambient)))
             m = M({v: rng.randint(1, 4) for v in chosen})
             assert both.contains(m) == (a.contains(m) and b.contains(m))
+    # one call over any number of ideals, one of them included
+    for count in (1, 3, 4):
+        for _ in range(100):
+            ideals = [random_ideal() for _ in range(count)]
+            every = oc.intersect_monomial(*ideals)
+            reference = reduce(lcm_intersection, ideals)
+            assert every.generators == reference.generators
+            assert every.ambient == reference.ambient
+            for _ in range(4):
+                chosen = rng.sample(every.ambient, rng.randint(0, len(every.ambient)))
+                m = M({v: rng.randint(1, 4) for v in chosen})
+                assert every.contains(m) == all(i.contains(m) for i in ideals)

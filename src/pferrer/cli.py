@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -133,9 +134,9 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
     summary = iv.homological_summary(part)
     table = iv.betti_table(part)
     reg_ideal, reg_quotient = iv.regularity(part)
-    # The certificate's monomials are box monomials, one generator each, so
-    # every monomial of the report is printed once and looked up after that.
-    name = {g: str(g) for g in ideal.generators}
+    # ferrer_ideal orders the generators by their boxes' reversed coordinates,
+    # so each box is named once, and the certificate's boxes look names up.
+    name = dict(zip(sorted(dg.boxes(part), key=lambda b: b[::-1]), map(str, ideal.generators)))
     doc = {
         "input": part.to_tree(),
         "depth": part.depth,
@@ -144,13 +145,13 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
         "summary": {**summary.to_json(), "reg_ideal": reg_ideal, "reg_quotient": reg_quotient},
         "betti": {str(j): b for j, b in enumerate(table.totals(), start=1)},
         **_series_block(profile, summary.n),
-        "generators": [name[g] for g in ideal.generators],
+        "generators": list(name.values()),
         "minimal_primes": [[str(v) for v in g.support] for g in dual.generators],
     }
     if certificate:
         cert = iv.ara_certificate(part)
         doc["certificate"] = {
-            "classes": [[name[m] for m in cls] for cls in cert.classes],
+            "classes": [[name[b] for b in cls] for cls in cert.classes],
             "witnesses": [
                 {
                     "pair": [name[w.first], name[w.second]],
@@ -278,8 +279,13 @@ def _check_decomposition(part, ideal, seed: int, max_degree: int) -> dict:
 
 def _check_certificate(part, profile) -> dict:
     cert = iv.ara_certificate(part)
-    ok = len(cert.classes[0]) == 1 and cert.ara == profile.delta
-    return {"name": "ara_certificate", "ok": ok, "ara": cert.ara}
+    pairs = sum(math.comb(s, 2) for s in profile.counts)  # one witness per pair
+    ok = len(cert.classes[0]) == 1 and cert.ara == profile.delta and len(cert.witnesses) == pairs
+    result = {"name": "ara_certificate", "ok": ok, "ara": cert.ara}
+    if not ok:
+        result["witnesses"] = len(cert.witnesses)
+        result["pairs"] = pairs
+    return result
 
 
 def _check_height_projdim(part, ideal, profile, limits) -> dict:
@@ -394,8 +400,9 @@ def cmd_pure(args, limits: Limits) -> int:
         raise BadFlags("need --a1/--a2/--beta0 or --c/--p/--alpha")
     if min(args.c, args.p, args.alpha) < 1:
         raise BadFlags("--c, --p and --alpha must be positive")
+    # c-linear of length p: betti_cm takes the codimension first, the degree second
     base_type = tuple([0] + [args.c + i for i in range(args.p)])
-    base_betti = tuple(iv.betti_cm(args.c, args.p, j) for j in range(args.p + 1))
+    base_betti = tuple(iv.betti_cm(args.p, args.c, j) for j in range(args.p + 1))
     scaled_type, scaled_betti = iv.scaled_resolution_type(base_type, base_betti, args.alpha)
     _emit({"type": list(scaled_type), "betti": list(scaled_betti), "alpha": args.alpha})
     return 0
@@ -450,9 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     pure.add_argument("--a1", type=int)
     pure.add_argument("--a2", type=int)
     pure.add_argument("--beta0", type=int)
-    pure.add_argument("--c", type=int)
-    pure.add_argument("--p", type=int)
-    pure.add_argument("--alpha", type=int)
+    pure.add_argument("--c", type=int, help="generation degree of the linear resolution")
+    pure.add_argument("--p", type=int, help="codimension, the length of the resolution")
+    pure.add_argument("--alpha", type=int, help="power substituted for every variable")
     pure.set_defaults(handler=cmd_pure)
 
     return parser

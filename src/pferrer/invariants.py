@@ -6,6 +6,8 @@ textbook-style expression cancel once the deviation counts are indexed by
 diagonal, which keeps the numbers independent of unused variables.
 ``betti_table`` returns the same ``ideal.GradedBettiTable`` as the oracle,
 with every entry in degree j + p - 1, so the two routes compare by ``==``.
+The ara certificate holds boxes; ``ideal.box_monomial`` maps each box to its
+generator.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .diagram import (
     remove_last_diagonal_box,
 )
 from .errors import CertificateFailure
-from .ideal import GradedBettiTable, Monomial, box_monomial, ferrer_ideal
+from .ideal import GradedBettiTable, ferrer_ideal
 
 
 def betti_cm(c: int, p: int, j: int) -> int:
@@ -136,20 +138,21 @@ def homological_summary(part: PFerrerPartition) -> HomologicalSummary:
 
 
 class AraWitness(NamedTuple):
-    first: Monomial
-    second: Monomial
+    first: Box
+    second: Box
     witness_class: int
-    witness: Monomial
+    witness: Box
 
 
 @dataclass(frozen=True)
 class AraCertificate:
-    """Diagonal classes K_1..K_delta plus, for each unordered pair inside a
-    class, a strictly earlier class member dividing the product of the pair.
-    This is the classical sufficient condition for the diagonal sums to cut
-    out the ideal up to radical."""
+    """Diagonal classes K_1..K_delta of boxes plus, for each unordered pair
+    inside a class, a box of a strictly earlier class whose monomial divides
+    the product of the pair's.  This is the classical sufficient condition
+    for the diagonal sums to cut out the ideal up to radical.  Every box
+    stands for its generator, ``ideal.box_monomial(box)``."""
 
-    classes: tuple[tuple[Monomial, ...], ...]
+    classes: tuple[tuple[Box, ...], ...]
     witnesses: tuple[AraWitness, ...]
 
     @property
@@ -158,30 +161,26 @@ class AraCertificate:
 
 
 def ara_certificate(part: PFerrerPartition) -> AraCertificate:
-    monomials = {box: box_monomial(box) for box in boxes(part)}
+    diagonal = {box: diagonal_index(box) for box in boxes(part)}
     by_diagonal: defaultdict[int, list[Box]] = defaultdict(list)
-    for box in sorted(monomials):
-        by_diagonal[diagonal_index(box)].append(box)
-    # the last diagonal; every diagonal 1..delta is nonempty, by downward closure
-    delta = max(by_diagonal)
-    classes = tuple(tuple(monomials[b] for b in by_diagonal[k]) for k in range(1, delta + 1))
+    for box in sorted(diagonal):
+        by_diagonal[diagonal[box]].append(box)
+    # up to the last diagonal; every diagonal before it is nonempty, by downward closure
+    classes = tuple(tuple(by_diagonal[k]) for k in range(1, max(by_diagonal) + 1))
     witnesses = []
-    for k in range(1, delta + 1):
-        for first, second in combinations(by_diagonal[k], 2):
-            witness_box = _lowered_box(first, second)
-            witness_diag = diagonal_index(witness_box)
+    for k, cls in enumerate(classes, start=1):
+        for first, second in combinations(cls, 2):
+            witness = _lowered_box(first, second)
+            # a witness outside the diagram gets class k, and so fails
+            witness_diag = diagonal.get(witness, k)
             # a box monomial divides lcm(first, second) exactly when each of
             # its coordinates is the first's or the second's
-            divides = all(w in pair for w, pair in zip(witness_box, zip(first, second)))
-            if witness_diag >= k or witness_box not in monomials or not divides:
+            divides = all(map(tuple.__contains__, zip(first, second), witness))
+            if witness_diag >= k or not divides:
                 raise CertificateFailure(
                     f"no earlier-class divisor for pair {first}, {second}"
                 )
-            witnesses.append(
-                AraWitness(
-                    monomials[first], monomials[second], witness_diag, monomials[witness_box]
-                )
-            )
+            witnesses.append(AraWitness(first, second, witness_diag, witness))
     return AraCertificate(classes, tuple(witnesses))
 
 

@@ -194,6 +194,14 @@ def test_criterion_04_height_and_projdim(corpus, oracle_tables, capsys):
         criterion(4, ok, f"min prime size = df and oracle projdim = delta on {detail}")
 
 
+def test_regularity_matches_the_oracle(corpus, oracle_tables):
+    # reg(S/I) = max(degree - j) over the nonzero entries of the Betti table
+    tables, _ = oracle_tables
+    for part in corpus:
+        reg = max(degree - j for j, degree, _ in tables[part].entries)
+        assert reg == iv.regularity(part)[1], part
+
+
 def test_criterion_05_mapping_cone_recurrence(capsys):
     rng = random.Random(5)
     steps = 0

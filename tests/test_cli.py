@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from functools import reduce
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import EX4322, FIXTURES, lcm_intersection
+from helpers import EX4322, FIXTURES, lcm_intersection, random_partition
 from pferrer import cli
 from pferrer import diagram as dg
 from pferrer import ideal as il
@@ -68,6 +69,22 @@ def test_report_certificate_flag(capsys):
     doc = json.loads(out)
     assert [len(cls) for cls in doc["certificate"]["classes"]] == [1, 2, 1]
     assert doc["certificate"]["witnesses"][0]["witness_monomial"] == "x2_1*x1_1"
+
+
+def test_report_certificate_names_boxes_in_ferrer_ideal_order(capsys, tmp_path):
+    rng = random.Random(29)
+    for depth in (1, 2, 2, 3, 3, 4):
+        part = random_partition(rng, depth, max_children=3, max_leaf=3)
+        path = write_diagram(tmp_path, part.to_tree())
+        code, out = run_cli(capsys, "report", "--certificate", path)
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["generators"] == [str(g) for g in il.ferrer_ideal(part).generators]
+        cert = iv.ara_certificate(part)
+        names = [[str(il.box_monomial(box)) for box in cls] for cls in cert.classes]
+        assert doc["certificate"]["classes"] == names
+        pairs = [[str(il.box_monomial(b)) for b in w[:2]] for w in cert.witnesses]
+        assert [w["pair"] for w in doc["certificate"]["witnesses"]] == pairs
 
 
 def test_report_text_certificate(capsys):
@@ -374,6 +391,20 @@ def test_certificate_failure_exit_3(capsys, monkeypatch, argv):
     assert json.loads(out)["error"] == "CertificateFailure"
 
 
+def test_verify_certificate_check_counts_the_witnesses(capsys, monkeypatch):
+    certificate = iv.ara_certificate
+
+    def one_short(part):
+        cert = certificate(part)
+        return iv.AraCertificate(cert.classes, cert.witnesses[1:])
+
+    monkeypatch.setattr(iv, "ara_certificate", one_short)
+    code, out = run_cli(capsys, "verify", str(FIXTURES / "staircase_22.json"))
+    assert code == 3
+    (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "ara_certificate"]
+    assert check == {"name": "ara_certificate", "ok": False, "ara": 3, "witnesses": 0, "pairs": 1}
+
+
 def test_series_subcommand(capsys):
     code, out = run_cli(capsys, "series", str(FIXTURES / "staircase_22.json"))
     assert code == 0
@@ -460,6 +491,62 @@ def test_pure_scaled(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["type"] == [0, 10, 15] and doc["betti"] == [1, 3, 2]
+
+
+def test_pure_c_differs_from_p(capsys):
+    # --c is the generation degree and --p the codimension
+    code, out = run_cli(capsys, "pure", "--c", "3", "--p", "2", "--alpha", "1")
+    assert code == 0
+    assert json.loads(out) == {"type": [0, 3, 4], "betti": [1, 4, 3], "alpha": 1}
+
+
+def test_pure_satisfies_the_herzog_kuehl_equations(capsys):
+    # a pure resolution of codimension p has sum_i (-1)^i beta_i d_i^k = 0 for k < p
+    for c in range(1, 7):
+        for p in range(1, 7):
+            code, out = run_cli(capsys, "pure", "--c", str(c), "--p", str(p), "--alpha", "1")
+            doc = json.loads(out)
+            assert code == 0 and len(doc["betti"]) == p + 1
+            for k in range(p):
+                terms = zip(doc["betti"], doc["type"])
+                assert sum((-1) ** i * b * d**k for i, (b, d) in enumerate(terms)) == 0, (c, p, k)
+
+
+def test_pure_codim2_record_feeds_back_to_its_type(capsys):
+    # (0, a1, a2) = alpha * (0, c, c + 1), so --c c --p 2 --alpha alpha retypes it
+    records = 0
+    for a2 in range(2, 14):
+        for a1 in range(1, a2):
+            record = iv.pure_codim2_betti(a1, a2, 1)
+            if record is None or record.c is None:
+                continue
+            argv = ["--c", str(record.c), "--p", "2", "--alpha", str(record.alpha)]
+            code, out = run_cli(capsys, "pure", *argv)
+            assert code == 0
+            assert json.loads(out) == {
+                "type": [0, a1, a2],
+                "betti": [1, record.beta1, record.beta2],
+                "alpha": record.alpha,
+            }
+            records += 1
+    assert records == 24
+
+
+@pytest.mark.parametrize(
+    "c, p, alpha", [(3, 2, 1), (2, 3, 1), (4, 2, 1), (2, 2, 2), (3, 2, 2), (1, 3, 2), (2, 1, 3)]
+)
+def test_pure_matches_the_oracle(capsys, c, p, alpha):
+    # the full diagram of depth c and diagonals 1..p has a c-linear resolution
+    # of length p, and x -> x^alpha scales its degrees by alpha
+    ideal = il.ferrer_ideal(dg.full_diagram(c, p))
+    powered = il.MonomialIdeal(
+        tuple(il.Monomial(tuple((v, alpha) for v, _ in g.factors)) for g in ideal.generators),
+        ideal.ambient,
+    )
+    code, out = run_cli(capsys, "pure", "--c", str(c), "--p", str(p), "--alpha", str(alpha))
+    doc = json.loads(out)
+    expected = tuple((j, doc["type"][j], doc["betti"][j]) for j in range(1, p + 1))
+    assert code == 0 and oc.graded_betti_brute(powered).entries == expected
 
 
 def test_pure_infeasible_exit_6(capsys):

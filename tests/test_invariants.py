@@ -181,8 +181,11 @@ def test_ara_certificate_leaf_trivial():
 def test_ara_certificate_square_pair():
     cert = iv.ara_certificate(dg.validate([2, 2]))
     (witness,) = [w for w in cert.witnesses if w.witness_class == 1]
-    assert str(witness.witness) == "x2_1*x1_1"
-    assert {str(witness.first), str(witness.second)} == {"x2_1*x1_2", "x2_2*x1_1"}
+    assert str(il.box_monomial(witness.witness)) == "x2_1*x1_1"
+    assert {str(il.box_monomial(witness.first)), str(il.box_monomial(witness.second))} == {
+        "x2_1*x1_2",
+        "x2_2*x1_1",
+    }
 
 
 def test_ara_certificate_last_diagonal_pair_4322():
@@ -192,9 +195,10 @@ def test_ara_certificate_last_diagonal_pair_4322():
     (witness,) = [
         w
         for w in cert.witnesses
-        if {w.first, w.second} == {monomial_2_4_1, monomial_2_1_4}
+        if {il.box_monomial(w.first), il.box_monomial(w.second)}
+        == {monomial_2_4_1, monomial_2_1_4}
     ]
-    assert witness.witness == il.box_monomial((2, 1, 1))
+    assert il.box_monomial(witness.witness) == il.box_monomial((2, 1, 1))
     assert witness.witness_class == 2
 
 
@@ -210,8 +214,9 @@ def test_ara_certificate_every_pair_has_witness():
         expected_pairs = sum(len(cls) * (len(cls) - 1) // 2 for cls in cert.classes)
         assert len(cert.witnesses) == expected_pairs
         for w in cert.witnesses:
-            pair_diagonal = sum(v.index for v in w.first.support) - part.depth + 1
-            assert w.witness.divides(w.first.lcm(w.second))
+            first, second, witness = map(il.box_monomial, (w.first, w.second, w.witness))
+            pair_diagonal = sum(v.index for v in first.support) - part.depth + 1
+            assert witness.divides(first.lcm(second))
             assert 1 <= w.witness_class < pair_diagonal
 
 

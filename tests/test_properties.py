@@ -1,12 +1,16 @@
 """Property tests over drawn diagrams: validation round-trips and reports an
 injected fault where it lies, the last-diagonal removal picks its box by the
 stated rule, and the closed-form Hilbert series agrees with the series from
-the generators and with brute-force counting."""
+the generators and with brute-force counting; the box certificate pairs each
+diagonal with divisors from earlier diagonals."""
+
+from itertools import combinations
 
 import pytest
 
 from pferrer import diagram as dg
 from pferrer import ideal as il
+from pferrer import invariants as iv
 from pferrer import series as sr
 from pferrer.errors import NonPositiveLeaf, NonUniformDepth, NotDecreasing, SingletonDiagram
 from pferrer.limits import Limits
@@ -159,3 +163,24 @@ def test_closed_form_primes_are_the_hitting_sets(tree):
     dual = il.ferrer_dual(part, WIDE)
     assert {frozenset(g.support) for g in dual.generators} == il.minimal_primes(ideal, WIDE)
     assert dual == il.alexander_dual(ideal, WIDE)
+
+
+@settings(PROPERTY, deadline=2000)
+@given(diagrams)
+def test_box_certificate_witnesses_come_from_earlier_diagonals(tree):
+    part = dg.validate(tree)
+    all_boxes = dg.boxes(part)
+    cert = iv.ara_certificate(part)
+    witnesses = iter(cert.witnesses)
+    for k, cls in enumerate(cert.classes, start=1):
+        assert cls == tuple(sorted(b for b in all_boxes if dg.diagonal_index(b) == k))
+        for pair in combinations(cls, 2):
+            w = next(witnesses)
+            assert (w.first, w.second) == pair
+            assert w.witness in all_boxes
+            assert dg.diagonal_index(w.witness) == w.witness_class < k
+            assert all(x in coords for x, coords in zip(w.witness, zip(*pair)))
+            lcm = il.box_monomial(w.first).lcm(il.box_monomial(w.second))
+            assert il.box_monomial(w.witness).divides(lcm)
+    assert next(witnesses, None) is None
+    assert len(cert.classes) == max(dg.diagonal_index(b) for b in all_boxes)

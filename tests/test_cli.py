@@ -104,6 +104,30 @@ def test_report_text_certificate(capsys):
     ]
 
 
+# exit code and stdout sha256 of report --text --certificate on every fixture;
+# nested_decomposition is an ideal, not a diagram, and prints its error
+TEXT_CERTIFICATE_BYTES = [
+    ("example_4322", 0, "7688b1326c89faf3a07bc5e1c00c77691c3e81978cc975c7f46066f80d135de4"),
+    ("example_54432", 0, "9bc246c305ff4777a64649ba4624d6aa0b32492846e662ecfd28fae9b4fea69b"),
+    ("hvector_14341", 0, "679cbb53462bd79064c65cb9d5f0413229db57bfc56953eb669c24c06d4a5ea7"),
+    ("staircase_22", 0, "3e56d927652553254e5d0cc6e1e2beb633d3f0dcb09d8f7d7b687b79a05c5161"),
+    ("nested_decomposition", 2, "8b53a4849f332c3c3c699fb005c1ecbca83ad0e4e02c8a3f6a5f703b3f5b01f9"),
+]
+
+
+def test_text_certificate_bytes_cover_every_fixture():
+    assert sorted(name for name, _, _ in TEXT_CERTIFICATE_BYTES) == sorted(
+        path.stem for path in FIXTURES.glob("*.json")
+    )
+
+
+@pytest.mark.parametrize("name, exit_code, digest", TEXT_CERTIFICATE_BYTES)
+def test_report_text_certificate_bytes(capsys, name, exit_code, digest):
+    code, out = run_cli(capsys, "report", "--text", "--certificate", str(FIXTURES / f"{name}.json"))
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", ["report", "verify", "series", "dual"])
 def test_report_validation_error_exit_2(capsys, tmp_path, command):
     code, out = run_cli(capsys, command, write_diagram(tmp_path, [[1], [2]]))

@@ -83,8 +83,15 @@ def test_report_certificate_names_boxes_in_ferrer_ideal_order(capsys, tmp_path):
         cert = iv.ara_certificate(part)
         names = [[str(il.box_monomial(box)) for box in cls] for cls in cert.classes]
         assert doc["certificate"]["classes"] == names
-        pairs = [[str(il.box_monomial(b)) for b in w[:2]] for w in cert.witnesses]
-        assert [w["pair"] for w in doc["certificate"]["witnesses"]] == pairs
+        witnesses = [
+            {
+                "pair": [str(il.box_monomial(w.first)), str(il.box_monomial(w.second))],
+                "witness_class": w.witness_class,
+                "witness_monomial": str(il.box_monomial(w.witness)),
+            }
+            for w in cert.witnesses
+        ]
+        assert doc["certificate"]["witnesses"] == witnesses
 
 
 def test_report_text_certificate(capsys):
@@ -217,6 +224,24 @@ def test_report_inconsistent_fields_exit_3(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["error"] == "InconsistentReport"
     assert doc["relation"] == "summary.projdim == profile.delta"
+
+
+def test_report_certificate_cross_checks_summary_ara_exit_3(capsys, monkeypatch):
+    real = iv.homological_summary
+
+    def wrong_ara(part):
+        summary = real(part)
+        return dataclasses.replace(summary, ara=summary.ara + 1)
+
+    monkeypatch.setattr(iv, "homological_summary", wrong_ara)
+    path = str(FIXTURES / "staircase_22.json")
+    code, out = run_cli(capsys, "report", "--certificate", path)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["error"] == "InconsistentReport"
+    assert doc["relation"] == "summary.ara == len(certificate.classes)"
+    # without the certificate nothing counts the box diagonals
+    assert run_cli(capsys, "report", path)[0] == 0
 
 
 def test_report_into_closed_pipe_exit_141():

@@ -6,9 +6,10 @@ import json
 import pytest
 
 from pferrer import cli
+from pferrer import invariants as iv
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 # Any code point, lone surrogates included, plus strings that json escapes.
 TEXT = st.text(st.characters(exclude_categories=()), max_size=12) | st.sampled_from(
@@ -26,6 +27,34 @@ VALUES = st.recursive(
 @given(VALUES)
 def test_dumps_equals_json_dumps_indent_2(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@st.composite
+def witness_lists(draw):
+    """A ``cli._Witnesses`` on random boxes and names, and its list of dicts."""
+    name = draw(st.dictionaries(st.tuples(st.integers(1, 4), st.integers(1, 4)), TEXT, min_size=1))
+    box = st.sampled_from(sorted(name))
+    rows = draw(
+        st.lists(st.builds(iv.AraWitness, box, box, st.integers(0, 2**40), box), max_size=6)
+    )
+    dicts = [
+        {"pair": [name[a], name[b]], "witness_class": k, "witness_monomial": name[w]}
+        for a, b, k, w in rows
+    ]
+    return cli._Witnesses(tuple(rows), name), dicts
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=1000)
+@given(witness_lists(), st.lists(st.sampled_from(["list", "dict"]), max_size=4))
+@example((cli._Witnesses((), {}), []), ["dict"])
+def test_witness_writer_equals_json_dumps_of_the_dicts(witnesses, nesting):
+    value, expected = witnesses
+    for container in nesting:  # each level indents the list two more spaces
+        if container == "list":
+            value, expected = [value], [expected]
+        else:
+            value, expected = {"witnesses": value}, {"witnesses": expected}
+    assert cli._dumps(value) == json.dumps(expected, indent=2)
 
 
 def test_tuple_prints_as_a_list():

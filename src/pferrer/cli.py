@@ -204,6 +204,7 @@ def _broken_relation(doc: dict) -> str | None:
         # the profile's delta against the number of the certificate's box diagonals
         ara = len(doc["certificate"]["classes"])
         relations += (("summary.ara == len(certificate.classes)", summary["ara"] == ara),)
+    relations += (("summary.ara == profile.delta", summary["ara"] == profile["delta"]),)
     return next((name for name, holds in relations if not holds), None)
 
 

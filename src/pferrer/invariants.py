@@ -1,11 +1,13 @@
 """Closed-form homological invariants of diagram ideals.
 
-The Betti formula is implemented in a diagonal-indexed form that does not
-mention the ambient variable count: the two ambient-dependent pieces of the
-textbook-style expression cancel once the deviation counts are indexed by
-diagonal, which keeps the numbers independent of unused variables.
-``betti_table`` returns the same ``ideal.GradedBettiTable`` as the oracle,
-with every entry in degree j + p - 1, so the two routes compare by ``==``.
+The resolution being p-linear, the Betti numbers are a reading of the
+Hilbert series: its numerator over (1 - t)^n, the K-polynomial, is
+sum_j (-1)^j beta_j t^(j + p - 1).  ``betti_table`` reads them off
+``series.k_polynomial``, the one derivation from the diagonal profile that the
+printed series also takes, and returns the same ``ideal.GradedBettiTable`` as
+the oracle, with every entry in degree j + p - 1, so the two routes compare by
+``==``.  ``betti_cm`` (the full-diagram case) and ``betti_ambient_indexed``
+(the binomial sum over the diagonal counts) stay as independent references.
 The ara certificate holds boxes; ``ideal.box_monomial`` maps each box to its
 generator.
 """
@@ -29,6 +31,7 @@ from .diagram import (
 )
 from .errors import CertificateFailure
 from .ideal import GradedBettiTable, ferrer_ideal
+from .series import k_polynomial
 
 
 def betti_cm(c: int, p: int, j: int) -> int:
@@ -43,32 +46,26 @@ def betti_cm(c: int, p: int, j: int) -> int:
     return math.comb(c + p - 1, j + p - 1) * math.comb(j + p - 2, p - 1)
 
 
-def betti_from_profile(profile: DiagonalProfile, j: int) -> int:
-    c, p = profile.df, profile.depth
-    extra = sum(
-        profile.count(k) * math.comb(k - 1, j - 1)
-        for k in range(c + 1, profile.delta + 1)
-    )
-    return betti_cm(c, p, j) + extra
-
-
 def betti_table(part: PFerrerPartition) -> GradedBettiTable:
     """Graded Betti numbers of the quotient by the diagram ideal: beta_j in
-    degree j + p - 1 alone for j = 1..delta, the resolution being p-linear."""
+    degree j + p - 1 alone for j = 1..delta, the resolution being p-linear,
+    read as (-1)^j times the t^(j + p - 1) coefficient of the K-polynomial."""
     profile = diagonal_profile(part)
     p = part.depth
+    k = k_polynomial(profile.df, p, profile.sigma).coeffs
     return GradedBettiTable(
         tuple(
-            (j, j + p - 1, betti_from_profile(profile, j))
+            (j, j + p - 1, -k[j + p - 1] if j % 2 else k[j + p - 1])
             for j in range(1, profile.delta + 1)
         )
     )
 
 
 def betti_ambient_indexed(profile: DiagonalProfile, n: int, j: int) -> int:
-    """The same number computed through the ambient-indexed deviation sum
-    s_i = (count of diagonal c + d - i) with d = n - c; kept for cross-checking
-    the reindexing identity."""
+    """beta_j as betti_cm(c, p, j) plus the binomial sum over the deviations
+    s_i = (count of diagonal c + d - i) with d = n - c, in an ambient ring of
+    n variables: an independent reference for ``betti_table``, which no
+    command calls."""
     c, p = profile.df, profile.depth
     d = n - c
     total = betti_cm(c, p, j)

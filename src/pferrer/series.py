@@ -117,6 +117,16 @@ ONE = IntPolynomial((1,))
 ONE_MINUS_T = IntPolynomial((1, -1))
 
 
+def _one_minus_t_power(e: int) -> IntPolynomial:
+    """(1 - t)^e, its coefficients (-1)^k C(e, k) built by the recurrence
+    C(e, k + 1) = C(e, k) (e - k) / (k + 1): e small products, where the
+    power by repeated multiplication takes e^2 / 2."""
+    coeffs = [1]
+    for k in range(e):
+        coeffs.append(-coeffs[-1] * (e - k) // (k + 1))
+    return IntPolynomial(tuple(coeffs))
+
+
 @dataclass(frozen=True)
 class RationalSeries:
     """numerator / (1 - t)^denom_exponent, stored in canonical form."""
@@ -140,7 +150,7 @@ class RationalSeries:
         """Series coefficients of t^0 .. t^degree."""
         num, d = self.numerator, self.denom_exponent
         if d < 0:
-            num, d = num * ONE_MINUS_T ** (-d), 0
+            num, d = num * _one_minus_t_power(-d), 0
         size = max(degree + 1, 0)
         out = list(num.coeffs[:size])
         out += [0] * (size - len(out))
@@ -172,8 +182,8 @@ def h_poly(c: int, p: int) -> IntPolynomial:
 def duality_identity_check(c: int, p: int) -> bool:
     """Exact check of 1 - h(c,p)(1-t) t^c == h(p,c)(t) (1-t)^p and the mod-t^p congruence."""
     lhs = ONE - h_poly(c, p).substitute_one_minus_t().shift(c)
-    rhs = h_poly(p, c) * ONE_MINUS_T**p
-    congruence = not any((h_poly(c, p) * ONE_MINUS_T**c - ONE).coeffs[:p])
+    rhs = h_poly(p, c) * _one_minus_t_power(p)
+    congruence = not any((h_poly(c, p) * _one_minus_t_power(c) - ONE).coeffs[:p])
     return lhs == rhs and congruence
 
 
@@ -185,6 +195,13 @@ def deviation_poly(sigma) -> IntPolynomial:
 def linear_numerator(c: int, p: int, sigma) -> IntPolynomial:
     """h(c,p) - t^p deviation_poly(sigma): hilbert_series_linear's numerator, uncancelled."""
     return h_poly(c, p) - deviation_poly(sigma).shift(p)
+
+
+def k_polynomial(c: int, p: int, sigma) -> IntPolynomial:
+    """linear_numerator(c, p, sigma) (1 - t)^c: the numerator of the series over
+    (1 - t)^n, whatever n.  For a p-linear resolution it is
+    sum_j (-1)^j beta_j t^(j + p - 1), so the Betti numbers are read off it."""
+    return linear_numerator(c, p, sigma) * _one_minus_t_power(c)
 
 
 def _dual_numerator(c: int, p: int, sigma) -> IntPolynomial:
@@ -321,8 +338,8 @@ def dual_series(c: int, p: int, sigma, n: int) -> tuple[RationalSeries, Rational
 def betti_polynomial_relation_holds(c: int, p: int, sigma, n: int) -> bool:
     """B_{S/J}(t) == 1 - B_{S/I}(1-t) after clearing denominators to exponent n."""
     sigma = tuple(sigma)
-    one_minus_primal_b = linear_numerator(c, p, sigma) * ONE_MINUS_T**c
-    one_minus_dual_b = _dual_numerator(c, p, sigma) * ONE_MINUS_T**p
+    one_minus_primal_b = k_polynomial(c, p, sigma)
+    one_minus_dual_b = _dual_numerator(c, p, sigma) * _one_minus_t_power(p)
     dual_b = ONE - one_minus_dual_b
     primal_b_at_one_minus_t = (ONE - one_minus_primal_b).substitute_one_minus_t()
     return dual_b == ONE - primal_b_at_one_minus_t

@@ -240,8 +240,10 @@ def test_report_certificate_cross_checks_summary_ara_exit_3(capsys, monkeypatch)
     doc = json.loads(out)
     assert doc["error"] == "InconsistentReport"
     assert doc["relation"] == "summary.ara == len(certificate.classes)"
-    # without the certificate nothing counts the box diagonals
-    assert run_cli(capsys, "report", path)[0] == 0
+    # without the certificate the profile's last diagonal still catches it
+    code, out = run_cli(capsys, "report", path)
+    assert code == 3
+    assert json.loads(out)["relation"] == "summary.ara == profile.delta"
 
 
 def test_report_into_closed_pipe_exit_141():

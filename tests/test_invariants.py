@@ -71,8 +71,8 @@ def test_betti_table_last_entry_positive():
 
 
 def test_ambient_indexed_form_agrees():
-    # the deviation sum written against the ambient variable count collapses
-    # to the diagonal-indexed form for every homological index
+    # the binomial sum over the diagonal counts, written against the ambient
+    # variable count, gives the table read off the K-polynomial
     rng = random.Random(73)
     parts = [dg.validate(EX4322)] + [
         random_partition(rng, rng.choice([1, 2, 3])) for _ in range(25)
@@ -80,10 +80,9 @@ def test_ambient_indexed_form_agrees():
     for part in parts:
         profile = dg.diagonal_profile(part)
         n = len(il.ferrer_ideal(part).ambient)
+        table = iv.betti_table(part)
         for j in range(1, profile.delta + 1):
-            assert iv.betti_from_profile(profile, j) == iv.betti_ambient_indexed(
-                profile, n, j
-            )
+            assert table.beta(j) == iv.betti_ambient_indexed(profile, n, j)
 
 
 def test_mapping_cone_square():
@@ -132,6 +131,19 @@ def test_betti_table_cm_case_is_pure_formula():
             )
             if step is not None:
                 assert step.recurrence_holds
+
+
+def test_betti_table_of_a_long_row_and_a_long_leaf_is_binomial():
+    # one row of 1500 boxes and a bare leaf of 10000: I is a linear ideal in
+    # delta variables (times one variable for the row), so beta_j = C(delta, j)
+    row = iv.betti_table(dg.validate([1500])).totals()
+    assert row == tuple(math.comb(1500, j) for j in range(1, 1501))
+    # 10,000 calls of math.comb take seconds: pin C(n, 1) = n and
+    # C(n, j + 1) (j + 1) = C(n, j) (n - j), which fix every term, and spot-check
+    leaf = iv.betti_table(dg.validate(10000)).totals()
+    assert len(leaf) == 10000 and leaf[0] == 10000 and sum(leaf) == 2**10000 - 1
+    assert all(b * (j + 1) == a * (10000 - j) for j, (a, b) in enumerate(zip(leaf, leaf[1:]), 1))
+    assert all(leaf[j - 1] == math.comb(10000, j) for j in (2, 17, 4999, 5000, 9999, 10000))
 
 
 def test_betti_table_is_graded_in_degree_j_plus_p_minus_1():

@@ -1,8 +1,9 @@
 """Property tests over drawn diagrams: validation round-trips and reports an
 injected fault where it lies, the last-diagonal removal picks its box by the
 stated rule, and the closed-form Hilbert series agrees with the series from
-the generators and with brute-force counting; the box certificate pairs each
-diagonal with divisors from earlier diagonals."""
+the generators and with brute-force counting; the Betti table read off the
+K-polynomial agrees with the binomial sums and the oracle; the box
+certificate pairs each diagonal with divisors from earlier diagonals."""
 
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from pferrer import invariants as iv
 from pferrer import series as sr
 from pferrer.errors import NonPositiveLeaf, NonUniformDepth, NotDecreasing, SingletonDiagram
 from pferrer.limits import Limits
-from pferrer.oracle import hilbert_function_truncated
+from pferrer.oracle import graded_betti_brute, hilbert_function_truncated
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -153,6 +154,24 @@ def test_series_routes_agree(tree):
     formula = sr.hilbert_series_linear(profile.df, part.depth, profile.sigma, n - profile.df)
     assert series == formula
     assert series.taylor(8) == hilbert_function_truncated(ideal, 8)
+
+
+@settings(PROPERTY, deadline=2000)
+@given(diagrams)
+def test_betti_table_agrees_with_the_binomial_sums_and_the_oracle(tree):
+    part = dg.validate(tree)
+    ideal = il.ferrer_ideal(part)
+    n = len(ideal.ambient)
+    profile = dg.diagonal_profile(part)
+    c, delta = profile.df, profile.delta
+    table = iv.betti_table(part)
+    for j in range(1, delta + 1):
+        assert table.beta(j) == iv.betti_ambient_indexed(profile, n, j)
+    assert table.beta(1) == dg.box_count(part)
+    if c == delta:
+        assert table.totals() == tuple(iv.betti_cm(c, part.depth, j) for j in range(1, c + 1))
+    assume(n <= 12)
+    assert table == graded_betti_brute(ideal)
 
 
 @settings(PROPERTY, deadline=2000)

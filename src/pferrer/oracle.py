@@ -9,13 +9,16 @@ boundary matrices as the fallback when the critical faces lie in more than
 one dimension, refused (``SizeLimitExceeded``) past ``EXACT_RANK_MAX_FACES``
 faces.  That homology depends only on the pattern of generators
 below the multidegree, renumbered, so it is memoized per pattern in one
-bounded memo shared by every call in the process (4096 patterns).
+bounded memo shared by every call in the process (4096 patterns), and the
+whole table is memoized per sorted mask tuple in a second bounded memo (64
+tables), so a repeated call on the same ideal only polarizes and looks up.
 Truncated Hilbert functions count on true exponent vectors, unpolarized,
 variable by variable: the counts in every degree up to the bound are
-memoized per (variable, surviving generators), a surviving generator with
-no exponent on the variables left makes the count zero without recursing,
-and each interval of exponents over which the surviving set is constant
-adds one sub-vector as a running sum.  Intersections of monomial ideals
+memoized per (variable, distinct exponent tails of the surviving generators
+on the variables left), a surviving generator with no exponent on the
+variables left makes the count zero without recursing, and each interval of
+exponents over which the surviving set is constant adds one sub-vector as a
+running sum.  Intersections of monomial ideals
 polarize all of them jointly, once, and fold minimal ORs of masks.  Nothing
 here knows about diagrams or closed formulas, so
 agreement with the formula modules is a genuine two-route check; the Betti
@@ -241,7 +244,10 @@ def graded_betti_brute(
     generators below alpha cover it, so the complex is fixed by them with
     alpha's bits renumbered in order.  Each such pattern is computed once per
     process while it stays in the memo of ``_pattern_homology``, which keeps
-    the 4096 most recently used.
+    the 4096 most recently used.  The limits are checked and the zero and
+    unit ideals answered first; the rest is ``_betti_of_masks`` on the sorted
+    masks, memoized on them (64 tables), so a second call on an ideal with
+    the same masks reuses the table.
     """
     _, width, (masks,) = _polarize((ideal.generators,), ideal.ambient)
     # every ambient variable owns one bit, and one of width w above 1 owns w
@@ -257,12 +263,24 @@ def graded_betti_brute(
         )
     if not masks or 0 in masks:
         return GradedBettiTable(())  # the zero ideal, or the unit ideal
+    return _betti_of_masks(tuple(sorted(masks)))
+
+
+@lru_cache(maxsize=64)
+def _betti_of_masks(ordered: tuple[int, ...]) -> GradedBettiTable:
+    """The graded Betti table of the ideal of the sorted, nonzero masks
+    ``ordered``: the lattice walk of ``graded_betti_brute``.
+
+    The table is a function of the masks alone, so it is memoized on them;
+    a repeated call on one ideal, as ``verify``'s second check makes right
+    after its first, costs one polarization and one lookup.  The memo keeps
+    the 64 most recently used tables.
+    """
     # renumbering keeps the order of submasks of alpha, so keys come sorted;
     # a key built from a list is allocated once, at its size (from a generator
     # it is resized, and a verify-corpus pass peaks about 0.5 MB higher)
-    ordered = sorted(masks)
     entries: dict[tuple[int, int], int] = {}
-    for alpha in _lcm_lattice(masks):
+    for alpha in _lcm_lattice(ordered):
         key = tuple([_rank_bits(g, alpha) for g in ordered if g & alpha == g])
         degree = alpha.bit_count()
         for dim, value in _pattern_homology(key):
@@ -288,15 +306,19 @@ def hilbert_function_truncated(
 
     ``count(i, active)`` is the vector of such counts, in every degree up to
     ``max_degree``, over the variables i.. when only the generators in
-    ``active`` can still divide; it is memoized on that pair.  An active
-    generator with no exponent on variables i.. divides every monomial left,
-    so when ``active`` meets ``done[i]``, the generators supported on
-    variables < i, the count is zero and is neither computed nor memoized;
-    this also covers the unit ideal and the end of the variables.  Along
-    variable i the surviving set changes only at 0 and at the generators'
-    exponents on i up to ``max_degree``, so each interval [low, high) between
-    those levels reads one sub-vector and adds it, shifted by low..high-1,
-    as a running sum.
+    ``active`` can still divide.  That vector depends only on the set of the
+    active generators' exponent tails on variables i.., so it is memoized on
+    (i, that set), with ``tail[i]`` giving each generator the bit of its
+    tail among the distinct tails at level i: generators that differ only on
+    variables already passed share one state.  An active generator with no
+    exponent on variables i.. divides every monomial left, so when
+    ``active`` meets ``done[i]``, the generators supported on variables < i,
+    the count is zero and is neither computed nor memoized; this also covers
+    the unit ideal and the end of the variables.  Along variable i the
+    surviving set changes only at 0 and at the generators' exponents on i up
+    to ``max_degree``, so each interval [low, high) between those levels
+    reads one sub-vector and adds it, shifted by low..high-1, as a running
+    sum.
     """
     _check_truncation(max_degree, limits)
     variables = ideal.ambient
@@ -317,12 +339,21 @@ def hilbert_function_truncated(
     # done[i]: the generators whose last variable with an exponent is before i
     last = [max((i for i, e in enumerate(g) if e), default=-1) for g in gens]
     done = [sum(1 << k for k, j in enumerate(last) if j < i) for i in range(n + 1)]
+    # tail[i][k]: the bit of generator k's exponents on variables i.. among
+    # the distinct such tails at level i
+    tail = []
+    for i in range(n + 1):
+        index: dict[tuple[int, ...], int] = {}
+        tail.append([1 << index.setdefault(g[i:], len(index)) for g in gens])
     memo: dict = {}
 
     def count(i: int, active: int) -> tuple[int, ...]:
         if active & done[i]:
             return zeros
-        key = (i, active)
+        tails = 0
+        for k in _bit_indices(active):
+            tails |= tail[i][k]
+        key = (i, tails)
         cached = memo.get(key)
         if cached is not None:
             return cached

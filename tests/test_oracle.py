@@ -285,21 +285,48 @@ def test_graded_betti_does_not_depend_on_the_pattern_memo():
         )
         if len(ideal.ambient) <= 16 and len(ideal.generators) <= 60:
             ideals.append(ideal)
-    memo = oc._pattern_homology
+    # the table memo would answer repeated ideals before the pattern memo is
+    # reached, so it is cleared wherever the pattern path is under test
+    memo, tables = oc._pattern_homology, oc._betti_of_masks
     isolated = []
     for ideal in ideals:
         memo.cache_clear()
+        tables.cache_clear()
         isolated.append(oc.graded_betti_brute(ideal))
     memo.cache_clear()
+    tables.cache_clear()
     front_to_back = [oc.graded_betti_brute(ideal) for ideal in ideals]
+    tables.cache_clear()
     back_to_front = [oc.graded_betti_brute(ideal) for ideal in reversed(ideals)]
     assert front_to_back == isolated == back_to_front[::-1]
     for ideal, table in zip(ideals, front_to_back):
+        tables.cache_clear()
         misses = memo.cache_info().misses
         assert oc.graded_betti_brute(ideal) == table
         assert memo.cache_info().misses == misses
     info = memo.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_table_memo_serves_a_second_ideal_with_the_same_masks():
+    # (x^2, xy) polarizes to the masks of (ab, ac), and polarization keeps
+    # graded Betti numbers, so the second ideal reads the first one's table
+    a, b, c = V(1, 1), V(1, 2), V(1, 3)
+    squarefree = il.MonomialIdeal.make([M({a: 1, b: 1}), M({a: 1, c: 1})])
+    polarized = il.MonomialIdeal.make([M({a: 2}), M({a: 1, b: 1})])
+    assert sorted(squarefree.masks()) == sorted(polarized.masks()) == [0b011, 0b101]
+    for first, second in (
+        (squarefree, polarized),
+        (il.ferrer_ideal(dg.validate(EX4322)), il.ferrer_ideal(dg.validate(EX4322))),
+    ):
+        oc._betti_of_masks.cache_clear()
+        table = oc.graded_betti_brute(first)
+        patterns = oc._pattern_homology.cache_info()
+        assert oc.graded_betti_brute(second) == table
+        after = oc._pattern_homology.cache_info()
+        assert (after.hits, after.misses) == (patterns.hits, patterns.misses)
+        assert oc._betti_of_masks.cache_info().hits == 1
+    assert oc._betti_of_masks.cache_info().maxsize is not None
 
 
 def test_pattern_memo_keys_are_renumbered():
@@ -415,6 +442,15 @@ def test_truncated_example_54432_to_degree_20():
     ideal = il.ferrer_ideal(dg.validate(EX54432))
     series = sr.hilbert_series_monomial(ideal)
     assert oc.hilbert_function_truncated(ideal, 20) == series.taylor(20)
+
+
+@pytest.mark.parametrize("tree, top", [([20] * 20, 6), ([[8] * 8] * 8, 8)])
+def test_truncated_on_the_grid_and_the_cube_matches_the_series(tree, top):
+    # 400 generators on 40 variables and 512 on 24: ideals whose generators
+    # share most of their exponent tails, so the count has a few dozen states
+    ideal = il.ferrer_ideal(dg.validate(tree))
+    series = sr.hilbert_series_monomial(ideal)
+    assert oc.hilbert_function_truncated(ideal, top) == series.taylor(top)
 
 
 def test_truncated_respects_degree_limit():

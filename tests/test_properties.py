@@ -5,7 +5,7 @@ the generators and with brute-force counting; the Betti table read off the
 K-polynomial agrees with the binomial sums and the oracle; the box
 certificate pairs each diagonal with divisors from earlier diagonals."""
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -203,3 +203,35 @@ def test_box_certificate_witnesses_come_from_earlier_diagonals(tree):
             assert il.box_monomial(w.witness).divides(lcm)
     assert next(witnesses, None) is None
     assert len(cert.classes) == max(dg.diagonal_index(b) for b in all_boxes)
+
+
+@st.composite
+def _exponent_ideals(draw):
+    """(ideal, exponent vectors) on at most 5 variables with exponents at most
+    3, where some generators repeat another's tail on the last variables
+    under a different head, so that they differ only on variables the count
+    passes first."""
+    n = draw(st.integers(1, 5))
+    exponents = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    gens = draw(st.lists(exponents, min_size=0, max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if gens else 0):
+        source = draw(st.sampled_from(gens))
+        cut = draw(st.integers(1, n))
+        gens.append(draw(st.lists(st.integers(0, 3), min_size=cut, max_size=cut)) + source[cut:])
+    variables = [il.Variable(1 + i % 2, 1 + i // 2) for i in range(n)]
+    monomials = [il.Monomial.of(dict(zip(variables, g))) for g in gens]
+    return il.MonomialIdeal.make(monomials, ambient=variables), gens
+
+
+@settings(PROPERTY, max_examples=300, deadline=2000)
+@given(_exponent_ideals(), st.integers(0, 6))
+def test_truncated_count_is_the_number_of_standard_monomials(drawn, top):
+    ideal, gens = drawn
+    n = len(ideal.ambient)
+    counts = [0] * (top + 1)
+    for d in range(top + 1):
+        for chosen in combinations_with_replacement(range(n), d):
+            exps = [chosen.count(i) for i in range(n)]
+            if not any(all(a >= b for a, b in zip(exps, g)) for g in gens):
+                counts[d] += 1
+    assert hilbert_function_truncated(ideal, top) == tuple(counts)

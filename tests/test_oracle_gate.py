@@ -33,7 +33,7 @@ TRUNCATED_SHA256 = "971d921d804b4bf617b9fd212206c4a4b9950d66c5d3f7698797279804ef
 def _diagram_ideals():
     parts = acceptance_corpus()
     seen = set(parts)
-    for argv, stdin_text in workloads.all_pool_ops(workloads.VERIFY_CORPUS):
+    for _, stdin_text in workloads.all_pool_ops(workloads.VERIFY_CORPUS):
         part = dg.validate(json.loads(stdin_text))
         if part not in seen:
             seen.add(part)

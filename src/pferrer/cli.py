@@ -145,8 +145,8 @@ def _load_diagram(path: str, limits: Limits) -> dg.PFerrerPartition:
     return dg.validate(tree, limits)
 
 
-def _series_block(profile: dg.DiagonalProfile, n: int) -> dict:
-    c, p, sigma = profile.df, profile.depth, profile.sigma
+def _series_block(profile: dg.DiagonalProfile) -> dict:
+    c, p, sigma, n = profile.df, profile.depth, profile.sigma, profile.n
     raw_numerator = sr.linear_numerator(c, p, sigma)
     series = sr.RationalSeries(raw_numerator, n - c)  # n >= delta, so n - c >= len(sigma)
     return {
@@ -165,12 +165,12 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
     ideal = il.ferrer_ideal(part)
     dual = il.ferrer_dual(part, limits)  # hitting-set limit first
     profile = dg.diagonal_profile(part)
-    summary = iv.homological_summary(part)
-    table = iv.betti_table(part)
+    summary = iv.homological_summary(profile)
+    table = iv.betti_table(profile)
     reg_ideal, reg_quotient = iv.regularity(part)
-    # ferrer_ideal orders the generators by their boxes' reversed coordinates,
-    # so each box is named once, and the certificate's boxes look names up.
-    name = dict(zip(sorted(dg.boxes(part), key=lambda b: b[::-1]), map(str, ideal.generators)))
+    # the generators come in box order, so each box is named once, and the
+    # certificate's boxes look names up
+    name = dict(zip(dg.boxes(part), map(str, ideal.generators)))
     doc = {
         "input": part.to_tree(),
         "depth": part.depth,
@@ -178,7 +178,7 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
         "profile": {"s": list(profile.counts), "df": profile.df, "delta": profile.delta},
         "summary": {**summary.to_json(), "reg_ideal": reg_ideal, "reg_quotient": reg_quotient},
         "betti": {str(j): b for j, b in enumerate(table.totals(), start=1)},
-        **_series_block(profile, summary.n),
+        **_series_block(profile),
         "generators": list(name.values()),
         "minimal_primes": [[str(v) for v in g.support] for g in dual.generators],
     }
@@ -251,9 +251,9 @@ def cmd_report(args, limits: Limits) -> int:
     return 0
 
 
-def _check_betti(part, ideal, limits) -> dict:
+def _check_betti(profile, ideal, limits) -> dict:
     brute = oc.graded_betti_brute(ideal, limits)
-    table = iv.betti_table(part)
+    table = iv.betti_table(profile)
     ok = brute == table
     result = {"name": "betti_formula_vs_oracle", "ok": ok}
     if not ok:
@@ -263,9 +263,9 @@ def _check_betti(part, ideal, limits) -> dict:
     return result
 
 
-def _check_series(part, ideal, profile, limits, max_degree: int) -> dict:
+def _check_series(ideal, profile, limits, max_degree: int) -> dict:
     formula = sr.hilbert_series_linear(
-        profile.df, part.depth, profile.sigma, len(ideal.ambient) - profile.df
+        profile.df, profile.depth, profile.sigma, profile.n - profile.df
     )
     from_monomials = sr.hilbert_series_monomial(ideal, limits)
     truncated = oc.hilbert_function_truncated(ideal, max_degree, limits)
@@ -349,8 +349,8 @@ def cmd_verify(args, limits: Limits) -> int:
     ideal = il.ferrer_ideal(part)
     profile = dg.diagonal_profile(part)
     checks = [
-        _check_betti(part, ideal, limits),
-        _check_series(part, ideal, profile, limits, args.max_degree),
+        _check_betti(profile, ideal, limits),
+        _check_series(ideal, profile, limits, args.max_degree),
         _check_decomposition(part, ideal, args.seed, args.max_degree),
         _check_certificate(part, profile),
         _check_height_projdim(part, ideal, profile, limits),
@@ -367,7 +367,7 @@ def cmd_series(args, limits: Limits) -> int:
         "input": part.to_tree(),
         "c": profile.df,
         "p": part.depth,
-        **_series_block(profile, iv.homological_summary(part).n),
+        **_series_block(profile),
     }
     _emit(doc)
     return 0
@@ -377,9 +377,7 @@ def cmd_dual(args, limits: Limits) -> int:
     part = _load_diagram(args.path, limits)
     profile = dg.diagonal_profile(part)
     dual = il.ferrer_dual(part, limits)
-    primal, dual_series = sr.dual_series(
-        profile.df, part.depth, profile.sigma, len(dual.ambient)
-    )
+    primal, dual_series = sr.dual_series(profile.df, part.depth, profile.sigma, profile.n)
     _emit(
         {
             "input": part.to_tree(),

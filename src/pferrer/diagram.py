@@ -163,15 +163,28 @@ def box_count(part: PFerrerPartition) -> int:
 
 
 @lru_cache(maxsize=1024)
-def boxes(part: PFerrerPartition) -> frozenset[Box]:
-    """The finite downward-closed subset of (N*)^p encoded by the partition."""
+def boxes(part: PFerrerPartition) -> tuple[Box, ...]:
+    """The finite downward-closed subset of (N*)^p encoded by the partition,
+    in canonical order: ascending by reversed coordinates, the order of the
+    diagram ideal's generators.  Slice i's boxes, in their own order, come
+    after those of slices before it, so the recursion needs no sort."""
     if part.is_leaf:
-        return frozenset((i,) for i in range(1, part.value + 1))
-    out = set()
-    for i, child in enumerate(part.children, start=1):
-        for eta in boxes(child):
-            out.add(eta + (i,))
-    return frozenset(out)
+        return tuple((i,) for i in range(1, part.value + 1))
+    return tuple(
+        eta + (i,) for i, child in enumerate(part.children, start=1) for eta in boxes(child)
+    )
+
+
+def group_sizes(part: PFerrerPartition) -> tuple[int, ...]:
+    """m_p, ..., m_1, m_k being the largest coordinate k among the boxes: the
+    number of group-k variables of the diagram ideal.  The first child
+    dominates its siblings, so the chain of first children holds every m_k."""
+    sizes = []
+    while not part.is_leaf:
+        sizes.append(len(part.children))
+        part = part.children[0]
+    sizes.append(part.value)
+    return tuple(sizes)
 
 
 def diagonal_index(box: Box) -> int:
@@ -190,6 +203,7 @@ class DiagonalProfile:
 
     counts: tuple[int, ...]
     depth: int
+    n: int  # variables of the diagram ideal, the sum of the group sizes m_k
 
     @property
     def delta(self) -> int:
@@ -221,7 +235,8 @@ def diagonal_profile(part: PFerrerPartition) -> DiagonalProfile:
         k = diagonal_index(box)
         tally[k] = tally.get(k, 0) + 1
     delta = max(tally)
-    return DiagonalProfile(tuple(tally.get(k, 0) for k in range(1, delta + 1)), part.depth)
+    counts = tuple(tally.get(k, 0) for k in range(1, delta + 1))
+    return DiagonalProfile(counts, part.depth, sum(group_sizes(part)))
 
 
 def full_diagram(p: int, c: int, limits: Limits = DEFAULT_LIMITS) -> PFerrerPartition:
@@ -271,4 +286,5 @@ def remove_last_diagonal_box(part: PFerrerPartition) -> tuple[PFerrerPartition, 
     if len(all_boxes) < 2:
         raise SingletonDiagram("cannot remove the only box")
     removed = max(all_boxes, key=lambda b: (diagonal_index(b), b))
-    return partition_from_boxes(all_boxes - {removed}, part.depth), removed
+    rest = [b for b in all_boxes if b != removed]
+    return partition_from_boxes(rest, part.depth), removed

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
-from .diagram import Box, PFerrerPartition, boxes
+from .diagram import Box, PFerrerPartition, boxes, group_sizes
 from .errors import DepthOne, NotSquarefree, SizeLimitExceeded
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -207,15 +207,10 @@ class GradedBettiTable:
 
 
 def _group_variables(part: PFerrerPartition) -> list[tuple[Variable, ...]]:
-    """x_{k,1..m_k} for each group k = p..1, m_k being the largest coordinate
-    k among the boxes: the diagram ideal's variables, in canonical order,
-    since the boxes are downward closed.  The first child dominates its
-    siblings, so the chain of first children holds every m_k."""
-    sizes = []
-    while not part.is_leaf:
-        sizes.append(len(part.children))
-        part = part.children[0]
-    sizes.append(part.value)
+    """x_{k,1..m_k} for each group k = p..1, with m_k from ``group_sizes``:
+    the diagram ideal's variables, in canonical order, since the boxes are
+    downward closed."""
+    sizes = group_sizes(part)
     return [
         tuple(Variable(k, a) for a in range(1, size + 1))
         for k, size in zip(range(len(sizes), 0, -1), sizes)
@@ -227,16 +222,16 @@ def ferrer_ideal(part: PFerrerPartition) -> MonomialIdeal:
 
     Distinct boxes give distinct squarefree monomials of one degree, which
     already form an antichain.  A box's reversed coordinates index its
-    variables in groups p..1, and ordering the boxes by them orders their
-    monomials by ``monomial_key``, so the ideal is built directly in
-    canonical form, as ``box_monomial`` would build each generator, from one
-    shared (variable, 1) factor per variable.
+    variables in groups p..1, and ``boxes`` orders the boxes by them, which
+    orders their monomials by ``monomial_key``; so the ideal is built
+    directly in canonical form, as ``box_monomial`` would build each
+    generator, from one shared (variable, 1) factor per variable.
     """
     groups = _group_variables(part)
     rows = [[(v, 1) for v in group] for group in groups]
     gens = tuple(
-        Monomial(tuple([row[a - 1] for row, a in zip(rows, reversed_box)]))
-        for reversed_box in sorted(b[::-1] for b in boxes(part))
+        Monomial(tuple([row[a - 1] for row, a in zip(rows, box[::-1])]))
+        for box in boxes(part)
     )
     return MonomialIdeal(gens, tuple(v for group in groups for v in group))
 

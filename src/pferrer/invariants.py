@@ -8,6 +8,8 @@ printed series also takes, and returns the same ``ideal.GradedBettiTable`` as
 the oracle, with every entry in degree j + p - 1, so the two routes compare by
 ``==``.  ``betti_cm`` (the full-diagram case) and ``betti_ambient_indexed``
 (the binomial sum over the diagonal counts) stay as independent references.
+The closed forms take a ``diagram.DiagonalProfile``, which holds all they
+read (the diagonal counts, p and n), so a caller derives it once.
 The ara certificate holds boxes; ``ideal.box_monomial`` maps each box to its
 generator.
 """
@@ -30,7 +32,7 @@ from .diagram import (
     remove_last_diagonal_box,
 )
 from .errors import CertificateFailure
-from .ideal import GradedBettiTable, ferrer_ideal
+from .ideal import GradedBettiTable, box_monomial, colon_by_monomial, ferrer_ideal
 from .series import k_polynomial
 
 
@@ -46,12 +48,11 @@ def betti_cm(c: int, p: int, j: int) -> int:
     return math.comb(c + p - 1, j + p - 1) * math.comb(j + p - 2, p - 1)
 
 
-def betti_table(part: PFerrerPartition) -> GradedBettiTable:
+def betti_table(profile: DiagonalProfile) -> GradedBettiTable:
     """Graded Betti numbers of the quotient by the diagram ideal: beta_j in
     degree j + p - 1 alone for j = 1..delta, the resolution being p-linear,
     read as (-1)^j times the t^(j + p - 1) coefficient of the K-polynomial."""
-    profile = diagonal_profile(part)
-    p = part.depth
+    p = profile.depth
     k = k_polynomial(profile.df, p, profile.sigma).coeffs
     return GradedBettiTable(
         tuple(
@@ -61,12 +62,12 @@ def betti_table(part: PFerrerPartition) -> GradedBettiTable:
     )
 
 
-def betti_ambient_indexed(profile: DiagonalProfile, n: int, j: int) -> int:
+def betti_ambient_indexed(profile: DiagonalProfile, j: int) -> int:
     """beta_j as betti_cm(c, p, j) plus the binomial sum over the deviations
-    s_i = (count of diagonal c + d - i) with d = n - c, in an ambient ring of
-    n variables: an independent reference for ``betti_table``, which no
-    command calls."""
-    c, p = profile.df, profile.depth
+    s_i = (count of diagonal c + d - i) with d = n - c, in the diagram ideal's
+    ring of n variables: an independent reference for ``betti_table``, which
+    no command calls."""
+    c, p, n = profile.df, profile.depth, profile.n
     d = n - c
     total = betti_cm(c, p, j)
     for i in range(d):
@@ -87,12 +88,16 @@ class MappingConeStep(NamedTuple):
 
 def mapping_cone_step(part: PFerrerPartition) -> MappingConeStep:
     """Remove one last-diagonal box and check
-    beta_j(Phi) = beta_j(Phi') + C(delta(Phi)-1, j-1) for every j."""
+    beta_j(Phi) = beta_j(Phi') + C(delta(Phi)-1, j-1) for every j, and that
+    I(Phi') : x_removed is generated by delta(Phi) - 1 variables, the linear
+    quotient the mapping cone over x_removed resolves by a Koszul complex."""
     smaller, removed = remove_last_diagonal_box(part)
-    table = betti_table(part)
-    table_prime = betti_table(smaller)
+    table = betti_table(diagonal_profile(part))
+    table_prime = betti_table(diagonal_profile(smaller))
+    colon = colon_by_monomial(ferrer_ideal(smaller), box_monomial(removed)).generators
     delta = table.projdim
-    holds = all(
+    linear = len(colon) == delta - 1 and all(g.degree == 1 for g in colon)
+    holds = linear and all(
         table.beta(j) == table_prime.beta(j) + math.comb(delta - 1, j - 1)
         for j in range(1, delta + 1)
     )
@@ -124,11 +129,8 @@ class HomologicalSummary:
         }
 
 
-def homological_summary(part: PFerrerPartition) -> HomologicalSummary:
-    profile = diagonal_profile(part)
-    n = len(ferrer_ideal(part).ambient)
-    c = profile.df
-    delta = profile.delta
+def homological_summary(profile: DiagonalProfile) -> HomologicalSummary:
+    n, c, delta = profile.n, profile.df, profile.delta
     return HomologicalSummary(
         n=n, height=c, dim=n - c, depth=n - delta, projdim=delta, ara=delta
     )

@@ -158,7 +158,7 @@ def test_criterion_03_betti_formula_vs_oracle(corpus, oracle_tables, capsys):
     ok = True
     detail = f"{len(corpus)} fixtures"
     for part in corpus:
-        if tables[part] != iv.betti_table(part):
+        if tables[part] != iv.betti_table(dg.diagonal_profile(part)):
             ok = False
             detail = f"mismatch on {part}"
             break
@@ -330,7 +330,7 @@ def test_criterion_08_ara_certificate(corpus, capsys):
         if len(cert.witnesses) != pairs:
             ok, detail = False, f"missing witness on {part}"
             break
-        if iv.homological_summary(part).ara != profile.delta:
+        if iv.homological_summary(profile).ara != profile.delta:
             ok, detail = False, f"reported ara wrong on {part}"
             break
     with capsys.disabled():

@@ -214,8 +214,8 @@ def test_nesting_past_the_recursion_limit_exit_4(
 def test_report_inconsistent_fields_exit_3(capsys, monkeypatch):
     real = iv.homological_summary
 
-    def wrong_projdim(part):
-        summary = real(part)
+    def wrong_projdim(profile):
+        summary = real(profile)
         return dataclasses.replace(summary, projdim=summary.projdim + 1)
 
     monkeypatch.setattr(iv, "homological_summary", wrong_projdim)
@@ -229,8 +229,8 @@ def test_report_inconsistent_fields_exit_3(capsys, monkeypatch):
 def test_report_certificate_cross_checks_summary_ara_exit_3(capsys, monkeypatch):
     real = iv.homological_summary
 
-    def wrong_ara(part):
-        summary = real(part)
+    def wrong_ara(profile):
+        summary = real(profile)
         return dataclasses.replace(summary, ara=summary.ara + 1)
 
     monkeypatch.setattr(iv, "homological_summary", wrong_ara)
@@ -332,8 +332,8 @@ def test_verify_betti_entry_in_a_wrong_degree_exit_3(capsys, monkeypatch):
     # the totals still agree with the oracle's; only the degree of beta_3 moves
     betti_table = iv.betti_table
 
-    def misplaced(part):
-        *rest, (j, degree, value) = betti_table(part).entries
+    def misplaced(profile):
+        *rest, (j, degree, value) = betti_table(profile).entries
         return il.GradedBettiTable((*rest, (j, degree + 1, value)))
 
     monkeypatch.setattr(iv, "betti_table", misplaced)

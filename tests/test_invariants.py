@@ -40,17 +40,17 @@ def test_betti_cm_matches_displayed_codim2_resolution():
 
 
 def test_betti_table_staircase():
-    table = iv.betti_table(dg.validate([2, 1]))
+    table = iv.betti_table(dg.diagonal_profile(dg.validate([2, 1])))
     assert table.totals() == (3, 2) and table.projdim == 2
 
 
 def test_betti_table_square():
-    table = iv.betti_table(dg.validate([2, 2]))
+    table = iv.betti_table(dg.diagonal_profile(dg.validate([2, 2])))
     assert table.totals() == (4, 4, 1) and table.projdim == 3
 
 
 def test_betti_table_example_4322():
-    table = iv.betti_table(dg.validate(EX4322))
+    table = iv.betti_table(dg.diagonal_profile(dg.validate(EX4322)))
     assert table.totals() == (21, 50, 45, 17, 2) and table.projdim == 5
 
 
@@ -58,16 +58,17 @@ def test_betti_table_first_entry_counts_boxes():
     rng = random.Random(67)
     for _ in range(30):
         part = random_partition(rng, rng.choice([1, 2, 3]))
-        assert iv.betti_table(part).beta(1) == dg.box_count(part)
+        assert iv.betti_table(dg.diagonal_profile(part)).beta(1) == dg.box_count(part)
 
 
 def test_betti_table_last_entry_positive():
     rng = random.Random(71)
     for _ in range(30):
         part = random_partition(rng, rng.choice([1, 2, 3]))
-        table = iv.betti_table(part)
+        profile = dg.diagonal_profile(part)
+        table = iv.betti_table(profile)
         assert table.totals()[-1] >= 1
-        assert table.projdim == dg.diagonal_profile(part).delta
+        assert table.projdim == profile.delta
 
 
 def test_ambient_indexed_form_agrees():
@@ -79,10 +80,9 @@ def test_ambient_indexed_form_agrees():
     ]
     for part in parts:
         profile = dg.diagonal_profile(part)
-        n = len(il.ferrer_ideal(part).ambient)
-        table = iv.betti_table(part)
+        table = iv.betti_table(profile)
         for j in range(1, profile.delta + 1):
-            assert table.beta(j) == iv.betti_ambient_indexed(profile, n, j)
+            assert table.beta(j) == iv.betti_ambient_indexed(profile, j)
 
 
 def test_mapping_cone_square():
@@ -124,7 +124,7 @@ def test_betti_table_cm_case_is_pure_formula():
     for p in (1, 2, 3):
         for c in (1, 2, 3):
             part = dg.full_diagram(p, c)
-            table = iv.betti_table(part)
+            table = iv.betti_table(dg.diagonal_profile(part))
             assert table.totals() == tuple(iv.betti_cm(c, p, j) for j in range(1, c + 1))
             step = (
                 iv.mapping_cone_step(part) if dg.box_count(part) > 1 else None
@@ -136,18 +136,18 @@ def test_betti_table_cm_case_is_pure_formula():
 def test_betti_table_of_a_long_row_and_a_long_leaf_is_binomial():
     # one row of 1500 boxes and a bare leaf of 10000: I is a linear ideal in
     # delta variables (times one variable for the row), so beta_j = C(delta, j)
-    row = iv.betti_table(dg.validate([1500])).totals()
+    row = iv.betti_table(dg.diagonal_profile(dg.validate([1500]))).totals()
     assert row == tuple(math.comb(1500, j) for j in range(1, 1501))
     # 10,000 calls of math.comb take seconds: pin C(n, 1) = n and
     # C(n, j + 1) (j + 1) = C(n, j) (n - j), which fix every term, and spot-check
-    leaf = iv.betti_table(dg.validate(10000)).totals()
+    leaf = iv.betti_table(dg.diagonal_profile(dg.validate(10000))).totals()
     assert len(leaf) == 10000 and leaf[0] == 10000 and sum(leaf) == 2**10000 - 1
     assert all(b * (j + 1) == a * (10000 - j) for j, (a, b) in enumerate(zip(leaf, leaf[1:]), 1))
     assert all(leaf[j - 1] == math.comb(10000, j) for j in (2, 17, 4999, 5000, 9999, 10000))
 
 
 def test_betti_table_is_graded_in_degree_j_plus_p_minus_1():
-    table = iv.betti_table(dg.validate([2, 2]))
+    table = iv.betti_table(dg.diagonal_profile(dg.validate([2, 2])))
     assert table.entries == ((1, 2, 4), (2, 3, 4), (3, 4, 1))
     assert table.beta(0) == 0 and table.beta(4) == 0
 
@@ -158,6 +158,33 @@ def test_betti_table_json_shape():
     assert doc["betti"] == {"1": 4, "2": 4, "3": 1}
 
 
+def test_mapping_cone_colon_is_generated_by_delta_minus_one_variables():
+    # removing (2, 2) from [2, 2]: I([2, 1]) : x2_2*x1_2 = (x2_1, x1_1)
+    part = dg.validate([2, 2])
+    step = iv.mapping_cone_step(part)
+    colon = il.colon_by_monomial(il.ferrer_ideal(step.phi_prime), il.box_monomial(step.removed))
+    assert step.removed == (2, 2) and step.delta == 3
+    assert [str(g) for g in colon.generators] == ["x2_1", "x1_1"]
+
+
+@pytest.mark.parametrize("wrong", ["one variable short", "a square for a variable"])
+def test_mapping_cone_step_fails_on_a_wrong_colon(monkeypatch, wrong):
+    part = dg.validate(EX4322)
+    assert iv.mapping_cone_step(part).recurrence_holds
+    colon = iv.colon_by_monomial
+
+    def wrong_colon(ideal, m):
+        gens = colon(ideal, m).generators
+        if wrong == "one variable short":
+            gens = gens[1:]
+        else:
+            gens = (il.Monomial.of({gens[0].support[0]: 2}),) + gens[1:]
+        return il.MonomialIdeal(gens, ideal.ambient)
+
+    monkeypatch.setattr(iv, "colon_by_monomial", wrong_colon)
+    assert not iv.mapping_cone_step(part).recurrence_holds
+
+
 def test_regularity():
     assert iv.regularity(dg.validate(3)) == (1, 0)
     assert iv.regularity(dg.validate([2, 1])) == (2, 1)
@@ -165,21 +192,21 @@ def test_regularity():
 
 
 def test_homological_summary_leaf():
-    summary = iv.homological_summary(dg.validate(3))
+    summary = iv.homological_summary(dg.diagonal_profile(dg.validate(3)))
     assert summary == iv.HomologicalSummary(
         n=3, height=3, dim=0, depth=0, projdim=3, ara=3
     )
 
 
 def test_homological_summary_staircase():
-    summary = iv.homological_summary(dg.validate([2, 1]))
+    summary = iv.homological_summary(dg.diagonal_profile(dg.validate([2, 1])))
     assert summary == iv.HomologicalSummary(
         n=4, height=2, dim=2, depth=2, projdim=2, ara=2
     )
 
 
 def test_homological_summary_example_4322():
-    summary = iv.homological_summary(dg.validate(EX4322))
+    summary = iv.homological_summary(dg.diagonal_profile(dg.validate(EX4322)))
     assert summary.n == 12 and summary.height == 3
     assert summary.depth == 7 and summary.projdim == summary.ara == 5
 
@@ -234,7 +261,7 @@ def test_ara_certificate_every_pair_has_witness():
 
 def test_ara_certificate_rejects_a_witness_outside_the_diagram(monkeypatch):
     part = dg.validate([2, 2])
-    monkeypatch.setattr(iv, "boxes", lambda p: dg.boxes(p) - {(1, 1)})
+    monkeypatch.setattr(iv, "boxes", lambda p: tuple(b for b in dg.boxes(p) if b != (1, 1)))
     with pytest.raises(CertificateFailure, match="no earlier-class divisor"):
         iv.ara_certificate(part)
 
@@ -252,8 +279,9 @@ def test_ara_certificate_rejects_a_non_dividing_witness(monkeypatch):
 
 def test_betti_bounds_cm_equality():
     part = dg.validate([2, 1])
-    table = iv.betti_table(part)
-    summary = iv.homological_summary(part)
+    profile = dg.diagonal_profile(part)
+    table = iv.betti_table(profile)
+    summary = iv.homological_summary(profile)
     assert iv.betti_bounds_check(table, summary.height, summary.n, summary.depth)
     assert all(
         table.beta(j) == iv.betti_cm(summary.height, 2, j)
@@ -263,8 +291,9 @@ def test_betti_bounds_cm_equality():
 
 def test_betti_bounds_square():
     part = dg.validate([2, 2])
-    table = iv.betti_table(part)
-    summary = iv.homological_summary(part)
+    profile = dg.diagonal_profile(part)
+    table = iv.betti_table(profile)
+    summary = iv.homological_summary(profile)
     assert iv.betti_bounds_check(table, summary.height, summary.n, summary.depth)
 
 
@@ -272,8 +301,9 @@ def test_betti_bounds_random():
     rng = random.Random(89)
     for _ in range(25):
         part = random_partition(rng, rng.choice([1, 2, 3]))
-        table = iv.betti_table(part)
-        summary = iv.homological_summary(part)
+        profile = dg.diagonal_profile(part)
+        table = iv.betti_table(profile)
+        summary = iv.homological_summary(profile)
         assert iv.betti_bounds_check(table, summary.height, summary.n, summary.depth)
 
 

@@ -110,7 +110,7 @@ def test_multicomplex_rejects_non_mvector():
 def test_diagram_from_multicomplex_single_box():
     multicomplex = mc.Multicomplex(frozenset({(0, 0)}), 2)
     part = mc.diagram_from_multicomplex(multicomplex)
-    assert dg.boxes(part) == {(1, 1)}
+    assert dg.boxes(part) == ((1, 1),)
 
 
 def test_diagram_from_multicomplex_chain():

@@ -1,7 +1,8 @@
 """Property tests over drawn diagrams: validation round-trips and reports an
 injected fault where it lies, the last-diagonal removal picks its box by the
 stated rule, and the closed-form Hilbert series agrees with the series from
-the generators and with brute-force counting; the Betti table read off the
+the generators and with brute-force counting; the boxes come in generator
+order and the profile's n counts the ideal's variables; the Betti table read off the
 K-polynomial agrees with the binomial sums and the oracle; the box
 certificate pairs each diagonal with divisors from earlier diagonals."""
 
@@ -77,6 +78,19 @@ def _replace(tree, path, new):
     return out
 
 
+def _box_set(tree):
+    """The boxes of a raw tree, read off its leaves: a leaf v at index path
+    (i_p, ..., i_2) from the top holds the boxes (a, i_2 + 1, ..., i_p + 1)
+    for a = 1..v."""
+    out = set()
+    for path in _paths(tree):
+        leaf = _get(tree, path)
+        if isinstance(leaf, int):
+            coords = tuple(i + 1 for i in reversed(path))
+            out.update((a,) + coords for a in range(1, leaf + 1))
+    return out
+
+
 def _json_path(path) -> str:
     return "$" + "".join(f"[{i}]" for i in path)
 
@@ -139,7 +153,19 @@ def test_remove_last_diagonal_box_takes_the_largest_box_of_the_last_diagonal(tre
     delta = max(dg.diagonal_index(b) for b in all_boxes)
     rest, removed = dg.remove_last_diagonal_box(part)
     assert removed == max(b for b in all_boxes if dg.diagonal_index(b) == delta)
-    assert dg.boxes(rest) == all_boxes - {removed}
+    assert set(dg.boxes(rest)) == set(all_boxes) - {removed}
+
+
+@settings(PROPERTY, deadline=2000)
+@given(diagrams)
+def test_boxes_come_in_generator_order_and_the_profile_counts_the_variables(tree):
+    part = dg.validate(tree)
+    ordered = dg.boxes(part)
+    assert ordered == tuple(sorted(_box_set(tree), key=lambda b: b[::-1]))
+    ideal = il.ferrer_ideal(part)
+    assert [il.box_monomial(b) for b in ordered] == list(ideal.generators)
+    n = dg.diagonal_profile(part).n
+    assert n == len(ideal.ambient) == len(il.ferrer_dual(part, WIDE).ambient)
 
 
 @settings(PROPERTY, max_examples=60)
@@ -161,12 +187,11 @@ def test_series_routes_agree(tree):
 def test_betti_table_agrees_with_the_binomial_sums_and_the_oracle(tree):
     part = dg.validate(tree)
     ideal = il.ferrer_ideal(part)
-    n = len(ideal.ambient)
     profile = dg.diagonal_profile(part)
-    c, delta = profile.df, profile.delta
-    table = iv.betti_table(part)
+    c, delta, n = profile.df, profile.delta, profile.n
+    table = iv.betti_table(profile)
     for j in range(1, delta + 1):
-        assert table.beta(j) == iv.betti_ambient_indexed(profile, n, j)
+        assert table.beta(j) == iv.betti_ambient_indexed(profile, j)
     assert table.beta(1) == dg.box_count(part)
     if c == delta:
         assert table.totals() == tuple(iv.betti_cm(c, part.depth, j) for j in range(1, c + 1))

@@ -278,26 +278,34 @@ def _check_series(ideal, profile, limits, max_degree: int) -> dict:
     return result
 
 
+def _sample_masks(rng, variables, offset, width, max_degree: int) -> list[int]:
+    """32 random monomials in 1 to 4 ``variables``, exponents 1 or 2, as masks
+    of the polarization ``offset``, ``width``, keeping those of degree at most
+    ``max_degree``.  An exponent past its variable's block sets the whole
+    block, so divisibility by a polarized monomial stays exact."""
+    masks = []
+    for _ in range(32):
+        mask = degree = 0
+        for v in rng.sample(variables, rng.randint(1, min(4, len(variables)))):
+            e = rng.randint(1, 2)
+            degree += e
+            mask |= ((1 << min(e, width.get(v, 1))) - 1) << offset[v]
+        if degree <= max_degree:
+            masks.append(mask)
+    return masks
+
+
 def _check_decomposition(part, ideal, seed: int, max_degree: int) -> dict:
     if part.depth == 1:
         return {"name": "intersection_decomposition", "ok": True, "skipped": "depth 1"}
     components = [c.ideal() for c in il.intersection_decomposition(part)]
     intersection = oc.intersect_monomial(*components)
     ok = intersection.generators == ideal.generators
-    rng = random.Random(seed)
-    variables = list(ideal.ambient)
-    samples = []
-    for _ in range(32):
-        chosen = rng.sample(variables, rng.randint(1, min(4, len(variables))))
-        monomial = il.Monomial.of({v: rng.randint(1, 2) for v in chosen})
-        if monomial.degree <= max_degree:
-            samples.append(monomial)
     # one polarization over every ambient makes membership a submask test
     ambient = set(ideal.ambient).union(*(c.ambient for c in components))
-    _, _, (gens, points, *parts) = il._polarize(
-        [ideal.generators, samples, *(c.generators for c in components)], ambient
-    )
-    for m in points:
+    groups = [ideal.generators, *(c.generators for c in components)]
+    offset, width, (gens, *parts) = il._polarize(groups, ambient)
+    for m in _sample_masks(random.Random(seed), list(ideal.ambient), offset, width, max_degree):
         in_ideal = any(g & m == g for g in gens)
         in_all = all(any(g & m == g for g in part_gens) for part_gens in parts)
         if in_ideal != in_all:

@@ -3,7 +3,8 @@
 Graded Betti numbers over the rationals are computed from scratch on the
 polarized generator bitmasks that also feed the Hilbert series
 (``MonomialIdeal.masks``): for every multidegree in their lcm lattice, the
-homology of the upper Koszul simplicial complex is read off a sequential
+homology of the upper Koszul simplicial complex is read, after a strong
+collapse that deletes one dominated vertex a pass, off a sequential
 element matching (discrete Morse theory), with the exact rational rank of
 boundary matrices as the fallback when the critical faces lie in more than
 one dimension, refused (``SizeLimitExceeded``) past ``EXACT_RANK_MAX_FACES``
@@ -149,34 +150,44 @@ def _morse_homology(faces: set[int], vertex_count: int) -> dict[int, int]:
 
 
 def _strong_collapse(vertices: int, sets) -> tuple[int, list[int]] | None:
-    """Iteratively delete dominated vertices; None means the complex became
-    visibly contractible (a cone or a full simplex), so all reduced homology
-    vanishes.  Deleting a vertex whose maximal-face incidences are covered by
-    another vertex preserves the homotopy type.  Vertices and sets are
-    bitmasks.
+    """Iteratively delete dominated vertices (Barmak–Minian, Discrete Comput.
+    Geom. 47, 2012); None means the complex became visibly contractible (a
+    cone or a full simplex), so all reduced homology vanishes.  Vertices and
+    sets are bitmasks.  A round keeps each distinct set, by ascending
+    popcount, unless a kept one is its subset; ORs each kept set's column
+    into its vertices' incidence; and deletes the highest vertex whose
+    incidence contains another's, which keeps the homotopy type.  The core
+    returned holds the minimal sets, sorted.
     """
     while True:
-        sets = sorted({s for s in sets if not any(o != s and o & s == o for o in sets)})
-        if not sets or sets[0] == 0:
-            return None
+        kept: list[int] = []
         covered = 0
-        for s in sets:
-            covered |= s
-        if covered != vertices:
+        for s in sorted(set(sets), key=int.bit_count):
+            for k in kept:
+                if k & s == k:
+                    break
+            else:
+                kept.append(s)
+                covered |= s
+        if not kept or kept[0] == 0 or covered != vertices:
             return None
         members = _bit_indices(vertices)
-        incidence = {
-            v: sum(1 << i for i, s in enumerate(sets) if s >> v & 1) for v in members
-        }
-        dominated = None
+        incidence = [0] * vertices.bit_length()
+        for i, s in enumerate(kept):
+            for v in _bit_indices(s):
+                incidence[v] |= 1 << i
         for v in reversed(members):
-            if any(u != v and incidence[u] & ~incidence[v] == 0 for u in members):
-                dominated = v
-                break
-        if dominated is None:
-            return vertices, sets
-        vertices &= ~(1 << dominated)
-        sets = [s & ~(1 << dominated) for s in sets]
+            outside = ~incidence[v]
+            for u in members:
+                if not incidence[u] & outside and u != v:
+                    break
+            else:
+                continue
+            break  # v is dominated by u
+        else:
+            return vertices, sorted(kept)
+        vertices &= ~(1 << v)
+        sets = [s & ~(1 << v) for s in kept]
 
 
 def _avoidance_homology(vertices: int, sets) -> dict[int, int]:

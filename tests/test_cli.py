@@ -408,6 +408,58 @@ def test_verify_membership_only_disagreement_exit_3(capsys, monkeypatch):
     assert failed[0]["ideal"] == [str(g) for g in ideal.generators]
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_membership_sees_exponents_exit_3(capsys, monkeypatch, seed):
+    # Q_1 = (x2_2, x2_1^2) has the support of (x2_1, x2_2), so only samples
+    # read with their exponents see x2_1*x1_1 in the ideal and outside Q_1
+    ideal = il.ferrer_ideal(dg.validate([2, 2]))
+    decomposition = il.intersection_decomposition
+
+    def squared(part):
+        first, *rest = decomposition(part)
+        x21, x22 = first.linear
+        tail = il.MonomialIdeal((il.Monomial.of({x21: 2}),), (x21,))
+        return (first._replace(linear=(x22,), tail=tail), *rest)
+
+    monkeypatch.setattr(il, "intersection_decomposition", squared)
+    monkeypatch.setattr(oc, "intersect_monomial", lambda *components: ideal)
+    path = str(FIXTURES / "staircase_22.json")
+    code, out = run_cli(capsys, "verify", "--seed", str(seed), path)
+    assert code == 3
+    assert [check["name"] for check in _failed_checks(out)] == ["intersection_decomposition"]
+
+
+@pytest.mark.parametrize(
+    "name", ["example_4322", "example_54432", "hvector_14341", "staircase_22"]
+)
+def test_decomposition_samples_keep_the_monomial_verdicts(name):
+    # the reference route draws monomials from the same random stream and
+    # polarizes them with the ideal and its components
+    part = dg.validate(json.loads((FIXTURES / f"{name}.json").read_text()))
+    ideal = il.ferrer_ideal(part)
+    components = [c.ideal() for c in il.intersection_decomposition(part)]
+    ambient = set(ideal.ambient).union(*(c.ambient for c in components))
+    groups = [ideal.generators, *(c.generators for c in components)]
+    offset, width, masks = il._polarize(groups, ambient)
+    variables = list(ideal.ambient)
+
+    def verdicts(points, group_masks):
+        return [[any(g & m == g for g in gens) for gens in group_masks] for m in points]
+
+    for seed in range(20):
+        for max_degree in (3, 12):
+            rng = random.Random(seed)
+            samples = []
+            for _ in range(32):
+                chosen = rng.sample(variables, rng.randint(1, min(4, len(variables))))
+                monomial = il.Monomial.of({v: rng.randint(1, 2) for v in chosen})
+                if monomial.degree <= max_degree:
+                    samples.append(monomial)
+            _, _, (points, *joint) = il._polarize([samples, *groups], ambient)
+            drawn = cli._sample_masks(random.Random(seed), variables, offset, width, max_degree)
+            assert verdicts(drawn, masks) == verdicts(points, joint)
+
+
 def test_verify_truncated_count_off_by_one_exit_3(capsys, monkeypatch):
     truncated = oc.hilbert_function_truncated
 

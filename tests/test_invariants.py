@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,18 @@ def test_betti_cm_small_values():
     # zero beyond j = c, also where the second binomial would be huge
     assert iv.betti_cm(3, 8000, 3) == math.comb(8001, 2)
     assert all(iv.betti_cm(3, 8000, j) == 0 for j in (4, 5, 8000))
+
+
+def test_betti_cm_is_the_pure_resolution_of_type_0_3_4_5():
+    # Herzog–Kühl: a pure resolution of type (0, d_1, ..., d_c) has
+    # beta_i = prod over j != i of d_j / |d_j - d_i|, and beta_0 = 1
+    degrees = (0, 3, 4, 5)
+    expected = [1]
+    for i in range(1, len(degrees)):
+        others = [d for d in degrees[1:] if d != degrees[i]]
+        beta = Fraction(math.prod(others), math.prod(abs(d - degrees[i]) for d in others))
+        expected.append(beta)
+    assert [iv.betti_cm(3, 3, j) for j in range(4)] == expected
 
 
 def test_betti_cm_is_binomial_for_linear_ideals():

@@ -246,7 +246,7 @@ def test_realize_roundtrip_small_grid():
 @pytest.mark.slow
 def test_realize_roundtrip_full_grid():
     # every admissible vector with length <= 5, h1 <= 5 and entries <= 20;
-    # about 3400 realizations, several minutes
+    # 3390 realizations, about 2 s
     checked = 0
     for h1, h2, h3, h4 in product(range(1, 6), range(21), range(21), range(21)):
         h = (1, h1, h2, h3, h4)

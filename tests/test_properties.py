@@ -4,7 +4,9 @@ stated rule, and the closed-form Hilbert series agrees with the series from
 the generators and with brute-force counting; the boxes come in generator
 order and the profile's n counts the ideal's variables; the Betti table read off the
 K-polynomial agrees with the binomial sums and the oracle; the box
-certificate pairs each diagonal with divisors from earlier diagonals."""
+certificate pairs each diagonal with divisors from earlier diagonals; the
+Betti oracle's strong collapse keeps the pairwise-minimalizing reference's
+cores, and its homology is that of the complex's faces."""
 
 from itertools import combinations, combinations_with_replacement
 
@@ -13,6 +15,7 @@ import pytest
 from pferrer import diagram as dg
 from pferrer import ideal as il
 from pferrer import invariants as iv
+from pferrer import oracle as oc
 from pferrer import series as sr
 from pferrer.errors import NonPositiveLeaf, NonUniformDepth, NotDecreasing, SingletonDiagram
 from pferrer.limits import Limits
@@ -260,3 +263,69 @@ def test_truncated_count_is_the_number_of_standard_monomials(drawn, top):
             if not any(all(a >= b for a, b in zip(exps, g)) for g in gens):
                 counts[d] += 1
     assert hilbert_function_truncated(ideal, top) == tuple(counts)
+
+
+def _collapse_reference(vertices, sets):
+    """The reference strong collapse: pairwise minimalization, each vertex's
+    incidence by a scan of every set, domination by nested ``any``."""
+    while True:
+        sets = sorted({s for s in sets if not any(o != s and o & s == o for o in sets)})
+        if not sets or sets[0] == 0:
+            return None
+        covered = 0
+        for s in sets:
+            covered |= s
+        if covered != vertices:
+            return None
+        members = il._bit_indices(vertices)
+        incidence = {
+            v: sum(1 << i for i, s in enumerate(sets) if s >> v & 1) for v in members
+        }
+        dominated = None
+        for v in reversed(members):
+            if any(u != v and incidence[u] & ~incidence[v] == 0 for u in members):
+                dominated = v
+                break
+        if dominated is None:
+            return vertices, sets
+        vertices &= ~(1 << dominated)
+        sets = [s & ~(1 << dominated) for s in sets]
+
+
+@st.composite
+def _set_systems(draw, max_vertices, stray_bits):
+    """(vertices, sets): a nonzero vertex mask on at most ``max_vertices``
+    bits and at most 12 nonzero set masks within it, with a repeated set, a
+    set over another, sometimes the empty set, and no sets at all among the
+    draws; with ``stray_bits``, the sets may also hold bits outside the
+    vertices."""
+    full = (1 << draw(st.integers(1, max_vertices))) - 1
+    vertices = draw(st.sampled_from([full]) | st.integers(1, full))
+    bits = il._bit_indices(full if stray_bits and draw(st.booleans()) else vertices)
+
+    def masks(most):
+        chosen = st.lists(st.sampled_from(bits), min_size=1, max_size=most)
+        return chosen.map(lambda bs: sum(1 << b for b in set(bs)))
+
+    sets = draw(st.lists(masks(3) | masks(len(bits)), max_size=9))
+    if sets:
+        sets.append(draw(st.sampled_from(sets)))
+        sets.append(draw(st.sampled_from(sets)) | draw(masks(len(bits))))
+    if draw(st.sampled_from(range(6))) == 5:
+        sets.insert(draw(st.integers(0, len(sets))), 0)
+    return vertices, sets
+
+
+@settings(PROPERTY, max_examples=400, deadline=2000)
+@given(_set_systems(10, stray_bits=True))
+def test_strong_collapse_keeps_the_reference_core(system):
+    vertices, sets = system
+    assert oc._strong_collapse(vertices, sets) == _collapse_reference(vertices, sets)
+
+
+@settings(PROPERTY, max_examples=300, deadline=2000)
+@given(_set_systems(7, stray_bits=False))
+def test_avoidance_homology_is_the_homology_of_all_faces(system):
+    vertices, sets = system
+    faces = {f for f in oc._submask_faces([vertices]) if any(not f & s for s in sets)}
+    assert oc._avoidance_homology(vertices, sets) == oc._homology_of_faces(faces)

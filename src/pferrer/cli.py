@@ -145,9 +145,8 @@ def _load_diagram(path: str, limits: Limits) -> dg.PFerrerPartition:
     return dg.validate(tree, limits)
 
 
-def _series_block(profile: dg.DiagonalProfile) -> dict:
-    c, p, sigma, n = profile.df, profile.depth, profile.sigma, profile.n
-    raw_numerator = sr.linear_numerator(c, p, sigma)
+def _series_block(profile: dg.DiagonalProfile, raw_numerator: sr.IntPolynomial) -> dict:
+    c, n = profile.df, profile.n
     series = sr.RationalSeries(raw_numerator, n - c)  # n >= delta, so n - c >= len(sigma)
     return {
         "series": series.to_json(),
@@ -157,7 +156,7 @@ def _series_block(profile: dg.DiagonalProfile) -> dict:
         },
         "pretty": series.pretty(),
         "h_vector": list(sr.h_vector(series)),
-        "s_vector": list(sigma),
+        "s_vector": list(profile.sigma),
     }
 
 
@@ -165,8 +164,9 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
     ideal = il.ferrer_ideal(part)
     dual = il.ferrer_dual(part, limits)  # hitting-set limit first
     profile = dg.diagonal_profile(part)
+    numerator = sr.linear_numerator(profile.df, part.depth, profile.sigma)  # series and Betti
     summary = iv.homological_summary(profile)
-    table = iv.betti_table(profile)
+    table = iv.betti_table(profile, numerator)
     reg_ideal, reg_quotient = iv.regularity(part)
     # the generators come in box order, so each box is named once, and the
     # certificate's boxes look names up
@@ -178,7 +178,7 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
         "profile": {"s": list(profile.counts), "df": profile.df, "delta": profile.delta},
         "summary": {**summary.to_json(), "reg_ideal": reg_ideal, "reg_quotient": reg_quotient},
         "betti": {str(j): b for j, b in enumerate(table.totals(), start=1)},
-        **_series_block(profile),
+        **_series_block(profile, numerator),
         "generators": list(name.values()),
         "minimal_primes": [[str(v) for v in g.support] for g in dual.generators],
     }
@@ -251,9 +251,9 @@ def cmd_report(args, limits: Limits) -> int:
     return 0
 
 
-def _check_betti(profile, ideal, limits) -> dict:
+def _check_betti(profile, numerator, ideal, limits) -> dict:
     brute = oc.graded_betti_brute(ideal, limits)
-    table = iv.betti_table(profile)
+    table = iv.betti_table(profile, numerator)
     ok = brute == table
     result = {"name": "betti_formula_vs_oracle", "ok": ok}
     if not ok:
@@ -263,10 +263,8 @@ def _check_betti(profile, ideal, limits) -> dict:
     return result
 
 
-def _check_series(ideal, profile, limits, max_degree: int) -> dict:
-    formula = sr.hilbert_series_linear(
-        profile.df, profile.depth, profile.sigma, profile.n - profile.df
-    )
+def _check_series(ideal, profile, numerator, limits, max_degree: int) -> dict:
+    formula = sr.RationalSeries(numerator, profile.n - profile.df)
     from_monomials = sr.hilbert_series_monomial(ideal, limits)
     truncated = oc.hilbert_function_truncated(ideal, max_degree, limits)
     ok = formula == from_monomials and formula.taylor(max_degree) == truncated
@@ -356,9 +354,10 @@ def cmd_verify(args, limits: Limits) -> int:
     part = _load_diagram(args.path, limits)
     ideal = il.ferrer_ideal(part)
     profile = dg.diagonal_profile(part)
+    numerator = sr.linear_numerator(profile.df, part.depth, profile.sigma)
     checks = [
-        _check_betti(profile, ideal, limits),
-        _check_series(ideal, profile, limits, args.max_degree),
+        _check_betti(profile, numerator, ideal, limits),
+        _check_series(ideal, profile, numerator, limits, args.max_degree),
         _check_decomposition(part, ideal, args.seed, args.max_degree),
         _check_certificate(part, profile),
         _check_height_projdim(part, ideal, profile, limits),
@@ -375,7 +374,7 @@ def cmd_series(args, limits: Limits) -> int:
         "input": part.to_tree(),
         "c": profile.df,
         "p": part.depth,
-        **_series_block(profile),
+        **_series_block(profile, sr.linear_numerator(profile.df, part.depth, profile.sigma)),
     }
     _emit(doc)
     return 0

@@ -3,15 +3,17 @@
 The resolution being p-linear, the Betti numbers are a reading of the
 Hilbert series: its numerator over (1 - t)^n, the K-polynomial, is
 sum_j (-1)^j beta_j t^(j + p - 1).  ``betti_table`` reads them off
-``series.k_polynomial``, the one derivation from the diagonal profile that the
-printed series also takes, and returns the same ``ideal.GradedBettiTable`` as
-the oracle, with every entry in degree j + p - 1, so the two routes compare by
-``==``.  ``betti_cm`` (the full-diagram case) and ``betti_ambient_indexed``
-(the binomial sum over the diagonal counts) stay as independent references.
+``series.k_polynomial`` of the profile's ``series.linear_numerator``, which
+the caller derives once for the printed series too, and returns the same
+``ideal.GradedBettiTable`` as the oracle, with every entry in degree
+j + p - 1, so the two routes compare by ``==``.  ``betti_cm`` (the
+full-diagram case) and ``betti_ambient_indexed`` (the binomial sum over the
+diagonal counts) stay as independent references.
 The closed forms take a ``diagram.DiagonalProfile``, which holds all they
 read (the diagonal counts, p and n), so a caller derives it once.
 The ara certificate holds boxes; ``ideal.box_monomial`` maps each box to its
-generator.
+generator.  It checks each same-diagonal pair with a few dict and integer
+operations: one table gives each box's diagonal and a mask of its variables.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .diagram import (
 )
 from .errors import CertificateFailure
 from .ideal import GradedBettiTable, box_monomial, colon_by_monomial, ferrer_ideal
-from .series import k_polynomial
+from .series import IntPolynomial, k_polynomial, linear_numerator
 
 
 def betti_cm(c: int, p: int, j: int) -> int:
@@ -48,12 +50,14 @@ def betti_cm(c: int, p: int, j: int) -> int:
     return math.comb(c + p - 1, j + p - 1) * math.comb(j + p - 2, p - 1)
 
 
-def betti_table(profile: DiagonalProfile) -> GradedBettiTable:
+def betti_table(profile: DiagonalProfile, numerator: IntPolynomial) -> GradedBettiTable:
     """Graded Betti numbers of the quotient by the diagram ideal: beta_j in
     degree j + p - 1 alone for j = 1..delta, the resolution being p-linear,
-    read as (-1)^j times the t^(j + p - 1) coefficient of the K-polynomial."""
+    read as (-1)^j times the t^(j + p - 1) coefficient of the K-polynomial,
+    which is ``numerator``, the profile's ``series.linear_numerator``, times
+    (1 - t)^c."""
     p = profile.depth
-    k = k_polynomial(profile.df, p, profile.sigma).coeffs
+    k = k_polynomial(numerator, profile.df).coeffs
     return GradedBettiTable(
         tuple(
             (j, j + p - 1, -k[j + p - 1] if j % 2 else k[j + p - 1])
@@ -92,8 +96,10 @@ def mapping_cone_step(part: PFerrerPartition) -> MappingConeStep:
     I(Phi') : x_removed is generated by delta(Phi) - 1 variables, the linear
     quotient the mapping cone over x_removed resolves by a Koszul complex."""
     smaller, removed = remove_last_diagonal_box(part)
-    table = betti_table(diagonal_profile(part))
-    table_prime = betti_table(diagonal_profile(smaller))
+    table, table_prime = (
+        betti_table(q, linear_numerator(q.df, q.depth, q.sigma))
+        for q in (diagonal_profile(part), diagonal_profile(smaller))
+    )
     colon = colon_by_monomial(ferrer_ideal(smaller), box_monomial(removed)).generators
     delta = table.projdim
     linear = len(colon) == delta - 1 and all(g.degree == 1 for g in colon)
@@ -159,38 +165,45 @@ class AraCertificate:
         return len(self.classes)
 
 
+def _box_table(part: PFerrerPartition) -> dict[Box, tuple[int, int]]:
+    """Each box's diagonal and the mask of its monomial, x_{j+1,b} at bit b * p + j."""
+    p = part.depth
+    return {
+        box: (diagonal_index(box), sum(1 << b * p + j for j, b in enumerate(box)))
+        for box in boxes(part)
+    }
+
+
 def ara_certificate(part: PFerrerPartition) -> AraCertificate:
-    diagonal = {box: diagonal_index(box) for box in boxes(part)}
+    """The diagonal classes and one witness per pair first < second of a class
+    K_k: second with its coordinate lowered to first's at the first position
+    i where they differ.  A few dict and integer operations on ``_box_table``
+    check each pair: the witness is a box, on a diagonal below k, and its mask
+    lies within the pair's, so its monomial divides their lcm.  The classes
+    are sorted, so first[i] < second[i]; a witness lowered on the wrong side
+    would lie on a later diagonal and fail the class check.  No validated
+    diagram fails: the witness lies below second, so in the diagram by
+    downward closure; on diagonal k - (second[i] - first[i]) < k; and each of
+    its coordinates is first's or second's, so it divides by construction."""
+    table = _box_table(part)
     by_diagonal: defaultdict[int, list[Box]] = defaultdict(list)
-    for box in sorted(diagonal):
-        by_diagonal[diagonal[box]].append(box)
+    for box in sorted(table):
+        by_diagonal[table[box][0]].append(box)
     # up to the last diagonal; every diagonal before it is nonempty, by downward closure
     classes = tuple(tuple(by_diagonal[k]) for k in range(1, max(by_diagonal) + 1))
     witnesses = []
     for k, cls in enumerate(classes, start=1):
         for first, second in combinations(cls, 2):
-            witness = _lowered_box(first, second)
+            i = 0
+            while first[i] == second[i]:
+                i += 1
+            witness = second[:i] + first[i : i + 1] + second[i + 1 :]
             # a witness outside the diagram gets class k, and so fails
-            witness_diag = diagonal.get(witness, k)
-            # a box monomial divides lcm(first, second) exactly when each of
-            # its coordinates is the first's or the second's
-            divides = all(map(tuple.__contains__, zip(first, second), witness))
-            if witness_diag >= k or not divides:
-                raise CertificateFailure(
-                    f"no earlier-class divisor for pair {first}, {second}"
-                )
+            witness_diag, witness_mask = table.get(witness, (k, -1))
+            if witness_diag >= k or witness_mask & ~(table[first][1] | table[second][1]):
+                raise CertificateFailure(f"no earlier-class divisor for pair {first}, {second}")
             witnesses.append(AraWitness(first, second, witness_diag, witness))
     return AraCertificate(classes, tuple(witnesses))
-
-
-def _lowered_box(a: Box, b: Box) -> Box:
-    """Replace, at the first position where a and b differ, the larger
-    coordinate by the smaller; the result stays in the diagram by closure."""
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            source = a if x > y else b
-            return source[:i] + (min(x, y),) + source[i + 1 :]
-    raise ValueError("boxes are equal")
 
 
 def betti_bounds_check(table: GradedBettiTable, c: int, n: int, depth: int) -> bool:

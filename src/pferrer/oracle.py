@@ -152,12 +152,12 @@ def _morse_homology(faces: set[int], vertex_count: int) -> dict[int, int]:
 def _strong_collapse(vertices: int, sets) -> tuple[int, list[int]] | None:
     """Iteratively delete dominated vertices (Barmak–Minian, Discrete Comput.
     Geom. 47, 2012); None means the complex became visibly contractible (a
-    cone or a full simplex), so all reduced homology vanishes.  Vertices and
-    sets are bitmasks.  A round keeps each distinct set, by ascending
-    popcount, unless a kept one is its subset; ORs each kept set's column
-    into its vertices' incidence; and deletes the highest vertex whose
-    incidence contains another's, which keeps the homotopy type.  The core
-    returned holds the minimal sets, sorted.
+    cone or a full simplex on some vertex), so all reduced homology
+    vanishes.  Vertices and sets are bitmasks.  A round keeps each distinct
+    set, by ascending popcount, unless a kept one is its subset; ORs each
+    kept set's column into its vertices' incidence; and deletes the highest
+    vertex whose incidence contains another's, which keeps the homotopy
+    type.  The core returned holds the minimal sets, sorted.
     """
     while True:
         kept: list[int] = []
@@ -169,7 +169,7 @@ def _strong_collapse(vertices: int, sets) -> tuple[int, list[int]] | None:
             else:
                 kept.append(s)
                 covered |= s
-        if not kept or kept[0] == 0 or covered != vertices:
+        if not kept or kept[0] == 0 < vertices or covered != vertices:
             return None
         members = _bit_indices(vertices)
         incidence = [0] * vertices.bit_length()

@@ -197,11 +197,12 @@ def linear_numerator(c: int, p: int, sigma) -> IntPolynomial:
     return h_poly(c, p) - deviation_poly(sigma).shift(p)
 
 
-def k_polynomial(c: int, p: int, sigma) -> IntPolynomial:
-    """linear_numerator(c, p, sigma) (1 - t)^c: the numerator of the series over
-    (1 - t)^n, whatever n.  For a p-linear resolution it is
-    sum_j (-1)^j beta_j t^(j + p - 1), so the Betti numbers are read off it."""
-    return linear_numerator(c, p, sigma) * _one_minus_t_power(c)
+def k_polynomial(numerator: IntPolynomial, c: int) -> IntPolynomial:
+    """``numerator`` (1 - t)^c, for the ``linear_numerator`` of height c: the
+    numerator of the series over (1 - t)^n, whatever n.  For a p-linear
+    resolution it is sum_j (-1)^j beta_j t^(j + p - 1), so the Betti numbers
+    are read off it."""
+    return numerator * _one_minus_t_power(c)
 
 
 def _dual_numerator(c: int, p: int, sigma) -> IntPolynomial:
@@ -338,7 +339,7 @@ def dual_series(c: int, p: int, sigma, n: int) -> tuple[RationalSeries, Rational
 def betti_polynomial_relation_holds(c: int, p: int, sigma, n: int) -> bool:
     """B_{S/J}(t) == 1 - B_{S/I}(1-t) after clearing denominators to exponent n."""
     sigma = tuple(sigma)
-    one_minus_primal_b = k_polynomial(c, p, sigma)
+    one_minus_primal_b = k_polynomial(linear_numerator(c, p, sigma), c)
     one_minus_dual_b = _dual_numerator(c, p, sigma) * _one_minus_t_power(p)
     dual_b = ONE - one_minus_dual_b
     primal_b_at_one_minus_t = (ONE - one_minus_primal_b).substitute_one_minus_t()

@@ -7,6 +7,8 @@ from pathlib import Path
 
 from pferrer import diagram as dg
 from pferrer import ideal as il
+from pferrer import invariants as iv
+from pferrer import series as sr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -147,3 +149,21 @@ def acceptance_corpus() -> list[dg.PFerrerPartition]:
     parts += all_staircases(12)
     parts += random_oracle_sized(rng, 50)
     return parts
+
+
+def betti_table_of(profile: dg.DiagonalProfile) -> il.GradedBettiTable:
+    """``invariants.betti_table`` on the profile's own linear numerator."""
+    return iv.betti_table(profile, sr.linear_numerator(profile.df, profile.depth, profile.sigma))
+
+
+def with_a_non_dividing_witness(box_table):
+    """``invariants._box_table`` with one fault for the 3 x 3 grid [3, 3, 3]:
+    the walk's witness for the pair (1, 3), (3, 1) is (1, 1), which keeps its
+    diagonal 1 but takes the mask of (2, 1), whose x1_2 is neither box's."""
+
+    def wrong(part):
+        table = box_table(part)
+        table[(1, 1)] = (table[(1, 1)][0], table[(2, 1)][1])
+        return table
+
+    return wrong

@@ -24,6 +24,7 @@ from helpers import (
     HVECTOR_PUBLISHED_DUAL,
     HVECTOR_PUBLISHED_PRIMES,
     acceptance_corpus,
+    betti_table_of,
 )
 from pferrer import cli
 from pferrer import diagram as dg
@@ -158,7 +159,7 @@ def test_criterion_03_betti_formula_vs_oracle(corpus, oracle_tables, capsys):
     ok = True
     detail = f"{len(corpus)} fixtures"
     for part in corpus:
-        if tables[part] != iv.betti_table(dg.diagonal_profile(part)):
+        if tables[part] != betti_table_of(dg.diagonal_profile(part)):
             ok = False
             detail = f"mismatch on {part}"
             break

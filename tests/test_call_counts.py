@@ -1,6 +1,7 @@
 """How often each command derives a diagram fact, counted by perfbench's
-``Tracer`` on ``fixtures/example_54432.json``: the diagonal profile once per
-command, and the diagram ideal only where the command prints or checks it.
+``Tracer`` on ``fixtures/example_54432.json``: the diagonal profile and the
+series' linear numerator once per command, and the diagram ideal only where
+the command prints or checks it.
 
     PYTHONPATH=src python -m pytest -q tests/test_call_counts.py
 
@@ -23,15 +24,16 @@ EXAMPLE = (ROOT / "fixtures" / "example_54432.json").read_text(encoding="utf-8")
 IDEAL = ("ideal", "ferrer_ideal")
 PROFILE = ("diagram", "diagonal_profile")
 ORACLE = ("oracle", "graded_betti_brute")
+NUMERATOR = ("series", "linear_numerator")
 
 
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["report", "--certificate", "-"], {IDEAL: 1, PROFILE: 1}),
-        (["series", "-"], {IDEAL: 0, PROFILE: 1}),
-        (["dual", "-"], {IDEAL: 0, PROFILE: 1}),
-        (["verify", "-"], {PROFILE: 1, ORACLE: 2}),
+        (["report", "--certificate", "-"], {IDEAL: 1, PROFILE: 1, NUMERATOR: 1}),
+        (["series", "-"], {IDEAL: 0, PROFILE: 1, NUMERATOR: 1}),
+        (["dual", "-"], {IDEAL: 0, PROFILE: 1, NUMERATOR: 1}),
+        (["verify", "-"], {PROFILE: 1, ORACLE: 2, NUMERATOR: 1}),
     ],
 )
 def test_each_command_derives_the_profile_once(monkeypatch, argv, expected):

@@ -12,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import EX4322, FIXTURES, lcm_intersection, random_partition
+from helpers import (
+    EX4322,
+    FIXTURES,
+    lcm_intersection,
+    random_partition,
+    with_a_non_dividing_witness,
+)
 from pferrer import cli
 from pferrer import diagram as dg
 from pferrer import ideal as il
@@ -332,8 +338,8 @@ def test_verify_betti_entry_in_a_wrong_degree_exit_3(capsys, monkeypatch):
     # the totals still agree with the oracle's; only the degree of beta_3 moves
     betti_table = iv.betti_table
 
-    def misplaced(profile):
-        *rest, (j, degree, value) = betti_table(profile).entries
+    def misplaced(profile, numerator):
+        *rest, (j, degree, value) = betti_table(profile, numerator).entries
         return il.GradedBettiTable((*rest, (j, degree + 1, value)))
 
     monkeypatch.setattr(iv, "betti_table", misplaced)
@@ -482,12 +488,7 @@ def test_verify_truncated_count_off_by_one_exit_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["report", "--certificate", "-"], ["verify", "-"]])
 def test_certificate_failure_exit_3(capsys, monkeypatch, argv):
-    lowered = iv._lowered_box
-
-    def wrong(a, b):
-        return (2, 1) if {a, b} == {(1, 3), (3, 1)} else lowered(a, b)
-
-    monkeypatch.setattr(iv, "_lowered_box", wrong)
+    monkeypatch.setattr(iv, "_box_table", with_a_non_dividing_witness(iv._box_table))
     monkeypatch.setattr(sys, "stdin", io.StringIO("[3, 3, 3]"))
     code, out = run_cli(capsys, *argv)
     assert code == 3

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import EX4322, random_partition
+from helpers import EX4322, betti_table_of, random_partition, with_a_non_dividing_witness
 from pferrer import cli
 from pferrer import diagram as dg
 from pferrer import ideal as il
@@ -53,17 +53,17 @@ def test_betti_cm_matches_displayed_codim2_resolution():
 
 
 def test_betti_table_staircase():
-    table = iv.betti_table(dg.diagonal_profile(dg.validate([2, 1])))
+    table = betti_table_of(dg.diagonal_profile(dg.validate([2, 1])))
     assert table.totals() == (3, 2) and table.projdim == 2
 
 
 def test_betti_table_square():
-    table = iv.betti_table(dg.diagonal_profile(dg.validate([2, 2])))
+    table = betti_table_of(dg.diagonal_profile(dg.validate([2, 2])))
     assert table.totals() == (4, 4, 1) and table.projdim == 3
 
 
 def test_betti_table_example_4322():
-    table = iv.betti_table(dg.diagonal_profile(dg.validate(EX4322)))
+    table = betti_table_of(dg.diagonal_profile(dg.validate(EX4322)))
     assert table.totals() == (21, 50, 45, 17, 2) and table.projdim == 5
 
 
@@ -71,7 +71,7 @@ def test_betti_table_first_entry_counts_boxes():
     rng = random.Random(67)
     for _ in range(30):
         part = random_partition(rng, rng.choice([1, 2, 3]))
-        assert iv.betti_table(dg.diagonal_profile(part)).beta(1) == dg.box_count(part)
+        assert betti_table_of(dg.diagonal_profile(part)).beta(1) == dg.box_count(part)
 
 
 def test_betti_table_last_entry_positive():
@@ -79,7 +79,7 @@ def test_betti_table_last_entry_positive():
     for _ in range(30):
         part = random_partition(rng, rng.choice([1, 2, 3]))
         profile = dg.diagonal_profile(part)
-        table = iv.betti_table(profile)
+        table = betti_table_of(profile)
         assert table.totals()[-1] >= 1
         assert table.projdim == profile.delta
 
@@ -93,7 +93,7 @@ def test_ambient_indexed_form_agrees():
     ]
     for part in parts:
         profile = dg.diagonal_profile(part)
-        table = iv.betti_table(profile)
+        table = betti_table_of(profile)
         for j in range(1, profile.delta + 1):
             assert table.beta(j) == iv.betti_ambient_indexed(profile, j)
 
@@ -137,7 +137,7 @@ def test_betti_table_cm_case_is_pure_formula():
     for p in (1, 2, 3):
         for c in (1, 2, 3):
             part = dg.full_diagram(p, c)
-            table = iv.betti_table(dg.diagonal_profile(part))
+            table = betti_table_of(dg.diagonal_profile(part))
             assert table.totals() == tuple(iv.betti_cm(c, p, j) for j in range(1, c + 1))
             step = (
                 iv.mapping_cone_step(part) if dg.box_count(part) > 1 else None
@@ -149,18 +149,18 @@ def test_betti_table_cm_case_is_pure_formula():
 def test_betti_table_of_a_long_row_and_a_long_leaf_is_binomial():
     # one row of 1500 boxes and a bare leaf of 10000: I is a linear ideal in
     # delta variables (times one variable for the row), so beta_j = C(delta, j)
-    row = iv.betti_table(dg.diagonal_profile(dg.validate([1500]))).totals()
+    row = betti_table_of(dg.diagonal_profile(dg.validate([1500]))).totals()
     assert row == tuple(math.comb(1500, j) for j in range(1, 1501))
     # 10,000 calls of math.comb take seconds: pin C(n, 1) = n and
     # C(n, j + 1) (j + 1) = C(n, j) (n - j), which fix every term, and spot-check
-    leaf = iv.betti_table(dg.diagonal_profile(dg.validate(10000))).totals()
+    leaf = betti_table_of(dg.diagonal_profile(dg.validate(10000))).totals()
     assert len(leaf) == 10000 and leaf[0] == 10000 and sum(leaf) == 2**10000 - 1
     assert all(b * (j + 1) == a * (10000 - j) for j, (a, b) in enumerate(zip(leaf, leaf[1:]), 1))
     assert all(leaf[j - 1] == math.comb(10000, j) for j in (2, 17, 4999, 5000, 9999, 10000))
 
 
 def test_betti_table_is_graded_in_degree_j_plus_p_minus_1():
-    table = iv.betti_table(dg.diagonal_profile(dg.validate([2, 2])))
+    table = betti_table_of(dg.diagonal_profile(dg.validate([2, 2])))
     assert table.entries == ((1, 2, 4), (2, 3, 4), (3, 4, 1))
     assert table.beta(0) == 0 and table.beta(4) == 0
 
@@ -280,20 +280,26 @@ def test_ara_certificate_rejects_a_witness_outside_the_diagram(monkeypatch):
 
 
 def test_ara_certificate_rejects_a_non_dividing_witness(monkeypatch):
-    lowered = iv._lowered_box
-
-    def wrong(a, b):
-        return (2, 1) if {a, b} == {(1, 3), (3, 1)} else lowered(a, b)
-
-    monkeypatch.setattr(iv, "_lowered_box", wrong)
+    monkeypatch.setattr(iv, "_box_table", with_a_non_dividing_witness(iv._box_table))
     with pytest.raises(CertificateFailure, match=r"pair \(1, 3\), \(3, 1\)"):
         iv.ara_certificate(dg.validate([3, 3, 3]))
+
+
+def test_ara_certificate_rejects_a_witness_lowered_on_the_wrong_side(monkeypatch):
+    # classes in descending order put first[i] > second[i], so the walk raises
+    # second instead of lowering it: for (2, 1), (1, 2) it builds (2, 2), a box
+    # of the diagram that divides the pair's lcm but lies on the later diagonal 3
+    part = dg.validate([3, 3, 3])
+    assert iv._box_table(part)[(2, 2)][0] == 3
+    monkeypatch.setattr(iv, "sorted", lambda xs: sorted(xs, reverse=True), raising=False)
+    with pytest.raises(CertificateFailure, match=r"pair \(2, 1\), \(1, 2\)"):
+        iv.ara_certificate(part)
 
 
 def test_betti_bounds_cm_equality():
     part = dg.validate([2, 1])
     profile = dg.diagonal_profile(part)
-    table = iv.betti_table(profile)
+    table = betti_table_of(profile)
     summary = iv.homological_summary(profile)
     assert iv.betti_bounds_check(table, summary.height, summary.n, summary.depth)
     assert all(
@@ -305,7 +311,7 @@ def test_betti_bounds_cm_equality():
 def test_betti_bounds_square():
     part = dg.validate([2, 2])
     profile = dg.diagonal_profile(part)
-    table = iv.betti_table(profile)
+    table = betti_table_of(profile)
     summary = iv.homological_summary(profile)
     assert iv.betti_bounds_check(table, summary.height, summary.n, summary.depth)
 
@@ -315,7 +321,7 @@ def test_betti_bounds_random():
     for _ in range(25):
         part = random_partition(rng, rng.choice([1, 2, 3]))
         profile = dg.diagonal_profile(part)
-        table = iv.betti_table(profile)
+        table = betti_table_of(profile)
         summary = iv.homological_summary(profile)
         assert iv.betti_bounds_check(table, summary.height, summary.n, summary.depth)
 

@@ -8,7 +8,7 @@ from functools import reduce
 
 import pytest
 
-from helpers import EX4322, EX54432, lcm_intersection, random_partition
+from helpers import EX4322, EX54432, betti_table_of, lcm_intersection, random_partition
 from pferrer import diagram as dg
 from pferrer import ideal as il
 from pferrer import invariants as iv
@@ -36,6 +36,14 @@ def faces_of(*maximal):
 def test_void_and_empty_complex():
     assert faces_of() == set() and oc._morse_homology(faces_of(), 0) == {}
     assert oc._morse_homology(faces_of([]), 1) == {-1: 1}
+
+
+def test_avoidance_homology_on_no_vertices():
+    # no sets: the void complex; the empty set: {∅}, not a contractible simplex
+    assert oc._avoidance_homology(0, []) == {}
+    assert oc._strong_collapse(0, [0]) == (0, [0])
+    assert oc._avoidance_homology(0, [0]) == {-1: 1} == oc._homology_of_faces({0})
+    assert oc._avoidance_homology(1, [0]) == {}
 
 
 def test_point_is_acyclic():
@@ -236,7 +244,7 @@ def test_graded_betti_against_formula_random():
         if len(ideal.ambient) > 16:
             continue
         table = oc.graded_betti_brute(ideal)
-        assert table == iv.betti_table(dg.diagonal_profile(part))
+        assert table == betti_table_of(dg.diagonal_profile(part))
 
 
 def test_graded_betti_alternating_sum_matches_hilbert_numerator():

@@ -4,14 +4,17 @@ stated rule, and the closed-form Hilbert series agrees with the series from
 the generators and with brute-force counting; the boxes come in generator
 order and the profile's n counts the ideal's variables; the Betti table read off the
 K-polynomial agrees with the binomial sums and the oracle; the box
-certificate pairs each diagonal with divisors from earlier diagonals; the
+certificate pairs each diagonal with divisors from earlier diagonals, and
+its mask walk gives the first walk's classes and witnesses up to depth 6; the
 Betti oracle's strong collapse keeps the pairwise-minimalizing reference's
 cores, and its homology is that of the complex's faces."""
 
+from collections import defaultdict
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from helpers import betti_table_of
 from pferrer import diagram as dg
 from pferrer import ideal as il
 from pferrer import invariants as iv
@@ -29,8 +32,15 @@ PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=
 WIDE = Limits(hitting_set_max_variables=64)
 
 # Per depth, the children per level from the top and the largest leaf: the
-# full box they give holds at most 40 boxes, and every drawn tree lies in it.
-BOX_SHAPES = {1: ((), 40), 2: ((5,), 8), 3: ((3, 3), 4), 4: ((2, 2, 2), 3)}
+# full box they give holds at most 64 boxes, and every drawn tree lies in it.
+BOX_SHAPES = {
+    1: ((), 40),
+    2: ((5,), 8),
+    3: ((3, 3), 4),
+    4: ((2, 2, 2), 3),
+    5: ((2, 2, 2, 2), 2),
+    6: ((2, 2, 2, 2, 2), 2),
+}
 
 
 def _box(widths, leaf):
@@ -57,6 +67,7 @@ def _under(draw, cap):
 
 
 diagrams = st.integers(1, 4).flatmap(lambda depth: _under(_box(*BOX_SHAPES[depth])))
+deep_diagrams = st.integers(1, 6).flatmap(lambda depth: _under(_box(*BOX_SHAPES[depth])))
 
 
 def _paths(tree, at=()):
@@ -192,7 +203,7 @@ def test_betti_table_agrees_with_the_binomial_sums_and_the_oracle(tree):
     ideal = il.ferrer_ideal(part)
     profile = dg.diagonal_profile(part)
     c, delta, n = profile.df, profile.delta, profile.n
-    table = iv.betti_table(profile)
+    table = betti_table_of(profile)
     for j in range(1, delta + 1):
         assert table.beta(j) == iv.betti_ambient_indexed(profile, j)
     assert table.beta(1) == dg.box_count(part)
@@ -233,6 +244,36 @@ def test_box_certificate_witnesses_come_from_earlier_diagonals(tree):
     assert len(cert.classes) == max(dg.diagonal_index(b) for b in all_boxes)
 
 
+def _certificate_reference(part):
+    """(classes, witnesses) by the first certificate walk: the witness lowers
+    the larger coordinate at the first difference of a pair, and divides the
+    pair's lcm when each of its coordinates is the first's or the second's."""
+    diagonal = {box: dg.diagonal_index(box) for box in dg.boxes(part)}
+    by_diagonal = defaultdict(list)
+    for box in sorted(diagonal):
+        by_diagonal[diagonal[box]].append(box)
+    classes = tuple(tuple(by_diagonal[k]) for k in range(1, max(by_diagonal) + 1))
+    witnesses = []
+    for k, cls in enumerate(classes, start=1):
+        for first, second in combinations(cls, 2):
+            i = next(i for i, (x, y) in enumerate(zip(first, second)) if x != y)
+            source = first if first[i] > second[i] else second
+            witness = source[:i] + (min(first[i], second[i]),) + source[i + 1 :]
+            witness_diag = diagonal.get(witness, k)
+            divides = all(map(tuple.__contains__, zip(first, second), witness))
+            assert witness_diag < k and divides
+            witnesses.append(iv.AraWitness(first, second, witness_diag, witness))
+    return classes, tuple(witnesses)
+
+
+@settings(PROPERTY, deadline=2000)
+@given(deep_diagrams)
+def test_ara_certificate_matches_the_first_walk(tree):
+    part = dg.validate(tree)
+    cert = iv.ara_certificate(part)
+    assert (cert.classes, cert.witnesses) == _certificate_reference(part)
+
+
 @st.composite
 def _exponent_ideals(draw):
     """(ideal, exponent vectors) on at most 5 variables with exponents at most
@@ -270,7 +311,7 @@ def _collapse_reference(vertices, sets):
     incidence by a scan of every set, domination by nested ``any``."""
     while True:
         sets = sorted({s for s in sets if not any(o != s and o & s == o for o in sets)})
-        if not sets or sets[0] == 0:
+        if not sets or sets[0] == 0 < vertices:
             return None
         covered = 0
         for s in sets:
@@ -294,20 +335,20 @@ def _collapse_reference(vertices, sets):
 
 @st.composite
 def _set_systems(draw, max_vertices, stray_bits):
-    """(vertices, sets): a nonzero vertex mask on at most ``max_vertices``
-    bits and at most 12 nonzero set masks within it, with a repeated set, a
-    set over another, sometimes the empty set, and no sets at all among the
-    draws; with ``stray_bits``, the sets may also hold bits outside the
-    vertices."""
+    """(vertices, sets): a vertex mask on at most ``max_vertices`` bits, zero
+    among them, and at most 12 nonzero set masks within it, with a repeated
+    set, a set over another, sometimes the empty set, and no sets at all
+    among the draws; with ``stray_bits``, the sets may also hold bits outside
+    the vertices."""
     full = (1 << draw(st.integers(1, max_vertices))) - 1
-    vertices = draw(st.sampled_from([full]) | st.integers(1, full))
+    vertices = draw(st.sampled_from([full]) | st.integers(0, full))
     bits = il._bit_indices(full if stray_bits and draw(st.booleans()) else vertices)
 
     def masks(most):
         chosen = st.lists(st.sampled_from(bits), min_size=1, max_size=most)
         return chosen.map(lambda bs: sum(1 << b for b in set(bs)))
 
-    sets = draw(st.lists(masks(3) | masks(len(bits)), max_size=9))
+    sets = draw(st.lists(masks(3) | masks(len(bits)), max_size=9)) if bits else []
     if sets:
         sets.append(draw(st.sampled_from(sets)))
         sets.append(draw(st.sampled_from(sets)) | draw(masks(len(bits))))

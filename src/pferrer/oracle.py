@@ -5,7 +5,8 @@ polarized generator bitmasks that also feed the Hilbert series
 (``MonomialIdeal.masks``): for every multidegree in their lcm lattice, the
 homology of the upper Koszul simplicial complex is read, after a strong
 collapse that deletes one dominated vertex a pass, off a sequential
-element matching (discrete Morse theory), with the exact rational rank of
+element matching (discrete Morse theory) on the faces of the collapsed core,
+kept on the core's own vertex bits, with the exact rational rank of
 boundary matrices as the fallback when the critical faces lie in more than
 one dimension, refused (``SizeLimitExceeded``) past ``EXACT_RANK_MAX_FACES``
 faces.  That homology depends only on the pattern of generators
@@ -14,14 +15,13 @@ bounded memo shared by every call in the process (4096 patterns), and the
 whole table is memoized per sorted mask tuple in a second bounded memo (64
 tables), so a repeated call on the same ideal only polarizes and looks up.
 Truncated Hilbert functions count on true exponent vectors, unpolarized,
-variable by variable: the counts in every degree up to the bound are
-memoized per (variable, distinct exponent tails of the surviving generators
-on the variables left), a surviving generator with no exponent on the
-variables left makes the count zero without recursing, and each interval of
-exponents over which the surviving set is constant adds one sub-vector as a
-running sum.  Intersections of monomial ideals
-polarize all of them jointly, once, and fold minimal ORs of masks.  Nothing
-here knows about diagrams or closed formulas, so
+variable by variable, recursing on the set of distinct exponent tails of the
+surviving generators on the variables left, which is also the memo key of
+the counts in every degree up to the bound: a set holding the all-zero tail
+counts zero without recursing, and each interval of exponents over which
+the set is constant adds one sub-vector as a running sum.  Intersections of
+monomial ideals polarize all of them jointly, once, and fold minimal ORs of
+masks.  Nothing here knows about diagrams or closed formulas, so
 agreement with the formula modules is a genuine two-route check; the Betti
 table type both routes return, ``GradedBettiTable``, lives in ``ideal``.
 """
@@ -149,26 +149,33 @@ def _morse_homology(faces: set[int], vertex_count: int) -> dict[int, int]:
     return {size - 1: len(critical) for size in sizes}
 
 
+def _minimal_masks(masks) -> list[int]:
+    """The distinct masks, by ascending popcount, that have no other as a submask."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        for k in kept:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
 def _strong_collapse(vertices: int, sets) -> tuple[int, list[int]] | None:
     """Iteratively delete dominated vertices (Barmak–Minian, Discrete Comput.
     Geom. 47, 2012); None means the complex became visibly contractible (a
     cone or a full simplex on some vertex), so all reduced homology
-    vanishes.  Vertices and sets are bitmasks.  A round keeps each distinct
-    set, by ascending popcount, unless a kept one is its subset; ORs each
-    kept set's column into its vertices' incidence; and deletes the highest
-    vertex whose incidence contains another's, which keeps the homotopy
-    type.  The core returned holds the minimal sets, sorted.
+    vanishes.  Vertices and sets are bitmasks.  A round keeps the minimal
+    sets (``_minimal_masks``); ORs each kept set's column into its vertices'
+    incidence; and deletes the highest vertex whose incidence contains
+    another's, which keeps the homotopy type.  The core returned holds the
+    minimal sets, sorted.
     """
     while True:
-        kept: list[int] = []
+        kept = _minimal_masks(sets)
         covered = 0
-        for s in sorted(set(sets), key=int.bit_count):
-            for k in kept:
-                if k & s == k:
-                    break
-            else:
-                kept.append(s)
-                covered |= s
+        for s in kept:
+            covered |= s
         if not kept or kept[0] == 0 < vertices or covered != vertices:
             return None
         members = _bit_indices(vertices)
@@ -192,15 +199,15 @@ def _strong_collapse(vertices: int, sets) -> tuple[int, list[int]] | None:
 
 def _avoidance_homology(vertices: int, sets) -> dict[int, int]:
     """Homology of the complex whose faces are the subsets of ``vertices``
-    disjoint from at least one of the given sets (all bitmasks)."""
-    core = _strong_collapse(vertices, sets)
+    disjoint from at least one of the given sets (all bitmasks).  Faces lie
+    within ``vertices``, so each set is cut to it before the collapse; the
+    core keeps its own bits, and one it deleted matches no face."""
+    core = _strong_collapse(vertices, [s & vertices for s in sets])
     if core is None:
         return {}
     core_vertices, core_sets = core
-    size = core_vertices.bit_count()
-    full = (1 << size) - 1
-    maximal = [full & ~_rank_bits(s, core_vertices) for s in core_sets]
-    return _morse_homology(_submask_faces(maximal), size)
+    maximal = [core_vertices & ~s for s in core_sets]
+    return _morse_homology(_submask_faces(maximal), core_vertices.bit_length())
 
 
 def _rank_bits(mask: int, within: int) -> int:
@@ -315,73 +322,45 @@ def hilbert_function_truncated(
     """Dimensions of (S/I)_d for d = 0..max_degree, by counting the monomials
     in the ambient variables divisible by no generator.
 
-    ``count(i, active)`` is the vector of such counts, in every degree up to
-    ``max_degree``, over the variables i.. when only the generators in
-    ``active`` can still divide.  That vector depends only on the set of the
-    active generators' exponent tails on variables i.., so it is memoized on
-    (i, that set), with ``tail[i]`` giving each generator the bit of its
-    tail among the distinct tails at level i: generators that differ only on
-    variables already passed share one state.  An active generator with no
-    exponent on variables i.. divides every monomial left, so when
-    ``active`` meets ``done[i]``, the generators supported on variables < i,
-    the count is zero and is neither computed nor memoized; this also covers
-    the unit ideal and the end of the variables.  Along variable i the
-    surviving set changes only at 0 and at the generators' exponents on i up
-    to ``max_degree``, so each interval [low, high) between those levels
-    reads one sub-vector and adds it, shifted by low..high-1, as a running
-    sum.
+    ``count(i, tails)`` is the vector of such counts, in every degree up to
+    ``max_degree``, over the variables i.., where ``tails`` holds the
+    distinct exponent tails on variables i.. of the generators that can
+    still divide.  It depends on nothing else, so it is memoized on (i,
+    tails): generators that differ only on variables already passed share
+    one state.  No tails leave the binomial counts.  Along variable i, each
+    level ``low`` (0, and each head below ``max_degree + 1``) keeps as
+    ``rest`` the tails with head at most ``low``, cut to variables i + 1..,
+    and the interval [low, high) up to the next level reads one sub-vector
+    and adds it, shifted by low..high-1, as a running sum.  A ``rest`` with
+    the all-zero tail has a generator dividing every monomial left, so it
+    and the levels above count zero and are neither computed nor memoized.
     """
     _check_truncation(max_degree, limits)
     variables = ideal.ambient
     n = len(variables)
-    factors = [dict(g.factors) for g in ideal.generators]
-    gens = [tuple(f.get(v, 0) for v in variables) for f in factors]
     top = max_degree + 1
-    zeros = (0,) * top
-    # levels[i]: (e, generators whose exponent on variable i is at most e) for
-    # e = 0 and each such exponent up to max_degree, ascending
-    levels = [
-        [
-            (e, sum(1 << k for k, g in enumerate(gens) if g[i] <= e))
-            for e in sorted({0} | {g[i] for g in gens if g[i] < top})
-        ]
-        for i in range(n)
-    ]
-    # done[i]: the generators whose last variable with an exponent is before i
-    last = [max((i for i, e in enumerate(g) if e), default=-1) for g in gens]
-    done = [sum(1 << k for k, j in enumerate(last) if j < i) for i in range(n + 1)]
-    # tail[i][k]: the bit of generator k's exponents on variables i.. among
-    # the distinct such tails at level i
-    tail = []
-    for i in range(n + 1):
-        index: dict[tuple[int, ...], int] = {}
-        tail.append([1 << index.setdefault(g[i:], len(index)) for g in gens])
+    factors = [dict(g.factors) for g in ideal.generators]
+    gens = frozenset(tuple(f.get(v, 0) for v in variables) for f in factors)
     memo: dict = {}
 
-    def count(i: int, active: int) -> tuple[int, ...]:
-        if active & done[i]:
-            return zeros
-        tails = 0
-        for k in _bit_indices(active):
-            tails |= tail[i][k]
+    def count(i: int, tails: frozenset) -> tuple[int, ...]:
         key = (i, tails)
         cached = memo.get(key)
         if cached is not None:
             return cached
         remaining = n - i
-        if active == 0:
-            if remaining == 0:
-                result = (1,) + (0,) * max_degree
-            else:
-                result = tuple(
-                    math.comb(s + remaining - 1, remaining - 1) for s in range(top)
-                )
+        if not tails:  # the monomials of degree s in the variables left
+            result = tuple(math.comb(max(s + remaining - 1, 0), s) for s in range(top))
         else:
             total = [0] * top
-            steps = levels[i]
-            for step, (low, stay) in enumerate(steps):
-                high = steps[step + 1][0] if step + 1 < len(steps) else top
-                sub = count(i + 1, active & stay)
+            blank = (0,) * (remaining - 1)
+            steps = sorted({0} | {t[0] for t in tails if t[0] < top})
+            for step, low in enumerate(steps):
+                rest = frozenset([t[1:] for t in tails if t[0] <= low])
+                if blank in rest:
+                    break
+                high = steps[step + 1] if step + 1 < len(steps) else top
+                sub = count(i + 1, rest)
                 run = 0
                 for d in range(low, top):
                     run += sub[d - low]
@@ -392,7 +371,8 @@ def hilbert_function_truncated(
         memo[key] = result
         return result
 
-    counts = count(0, (1 << len(gens)) - 1)
+    # the unit ideal leaves no monomial
+    counts = (0,) * top if (0,) * n in gens else count(0, gens)
     # count refers to itself through its closure, so only a cyclic garbage
     # collection would otherwise free the memo
     memo.clear()
@@ -405,21 +385,16 @@ def intersect_monomial(first: MonomialIdeal, *rest: MonomialIdeal) -> MonomialId
 
     All the ideals are polarized together once (``_polarize``), so an lcm is
     an OR of masks.  From the unit ideal's mask 0, each ideal's masks in turn
-    are ORed into the minimal ones so far, kept minimal by one pass by
-    ascending popcount with a subset test, and the last ones decode once,
-    each block's popcount back to an exponent.  Exact for any monomial
-    ideals, squarefree or not.
+    are ORed into the minimal ones so far (``_minimal_masks``), and the last
+    ones decode once, each block's popcount back to an exponent.  Exact for
+    any monomial ideals, squarefree or not.
     """
     ideals = (first, *rest)
     ambient = sorted(set().union(*(i.ambient for i in ideals)), key=variable_key)
     offset, width, groups = _polarize([i.generators for i in ideals], ambient)
     minimal = [0]
     for masks in groups:
-        lcms = sorted({g | h for g in minimal for h in masks}, key=int.bit_count)
-        minimal = []
-        for m in lcms:
-            if not any(k & m == k for k in minimal):
-                minimal.append(m)
+        minimal = _minimal_masks(g | h for g in minimal for h in masks)
     blocks = [(v, ((1 << width.get(v, 1)) - 1) << offset[v]) for v in ambient]
     gens = [
         Monomial(tuple((v, e) for v, block in blocks if (e := (m & block).bit_count())))

@@ -46,6 +46,12 @@ def test_avoidance_homology_on_no_vertices():
     assert oc._avoidance_homology(1, [0]) == {}
 
 
+def test_avoidance_homology_ignores_bits_outside_the_vertices():
+    # faces avoid {0} or {1} within vertices {0, 1}: two points; bit 2 of the
+    # first set is no vertex, and must not hide vertex 1 from the cover test
+    assert oc._avoidance_homology(0b11, [0b101, 0b010]) == {0: 1}
+
+
 def test_point_is_acyclic():
     assert oc._morse_homology(faces_of([0]), 1) == {}
 
@@ -56,6 +62,11 @@ def test_circle_homology():
 
 def test_two_points_homology():
     assert oc._morse_homology(faces_of([0], [1]), 2) == {0: 1}
+
+
+def test_unused_vertex_bit_matches_nothing():
+    # vertex 1 lies in no face, as after a strong collapse deleted it
+    assert oc._morse_homology(faces_of([0], [2]), 3) == {0: 1}
 
 
 SPHERE = ([0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3])
@@ -388,8 +399,8 @@ def test_truncated_frees_its_memo_without_a_cyclic_collection():
         left_for_the_collector = gc.collect()
     finally:
         gc.enable()
-    # the recursive closure alone is a cycle of a few objects; a kept memo is
-    # thousands of objects (18,861 here)
+    # the recursive closure alone is a cycle of a few objects (7 here); a kept
+    # memo is hundreds of objects (385 here)
     assert left_for_the_collector < 100
 
 

@@ -365,7 +365,7 @@ def test_strong_collapse_keeps_the_reference_core(system):
 
 
 @settings(PROPERTY, max_examples=300, deadline=2000)
-@given(_set_systems(7, stray_bits=False))
+@given(_set_systems(7, stray_bits=True))
 def test_avoidance_homology_is_the_homology_of_all_faces(system):
     vertices, sets = system
     faces = {f for f in oc._submask_faces([vertices]) if any(not f & s for s in sets)}

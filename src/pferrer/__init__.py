@@ -1,89 +1,1 @@
 """Staircase diagrams in p dimensions and their monomial ideals."""
-
-from .diagram import (
-    DiagonalProfile,
-    PFerrerPartition,
-    boxes,
-    compare,
-    diagonal_profile,
-    full_diagram,
-    remove_last_diagonal_box,
-    validate,
-)
-from .ideal import (
-    Monomial,
-    MonomialIdeal,
-    Variable,
-    alexander_dual,
-    colon_by_monomial,
-    ferrer_dual,
-    ferrer_ideal,
-    intersection_decomposition,
-    minimal_primes,
-)
-from .invariants import (
-    ara_certificate,
-    betti_cm,
-    betti_table,
-    homological_summary,
-    mapping_cone_step,
-    pure_codim2_betti,
-    regularity,
-    scaled_resolution_type,
-)
-from .limits import DEFAULT_LIMITS, Limits
-from .macaulay import is_m_vector, realize_mvector
-from .oracle import graded_betti_brute, hilbert_function_truncated, intersect_monomial
-from .series import (
-    IntPolynomial,
-    RationalSeries,
-    dual_series,
-    extract_s_vector,
-    h_poly,
-    h_vector,
-    hilbert_series_linear,
-    hilbert_series_monomial,
-)
-
-__all__ = [
-    "DiagonalProfile",
-    "PFerrerPartition",
-    "boxes",
-    "compare",
-    "diagonal_profile",
-    "full_diagram",
-    "remove_last_diagonal_box",
-    "validate",
-    "Monomial",
-    "MonomialIdeal",
-    "Variable",
-    "alexander_dual",
-    "colon_by_monomial",
-    "ferrer_dual",
-    "ferrer_ideal",
-    "intersection_decomposition",
-    "minimal_primes",
-    "ara_certificate",
-    "betti_cm",
-    "betti_table",
-    "homological_summary",
-    "mapping_cone_step",
-    "pure_codim2_betti",
-    "regularity",
-    "scaled_resolution_type",
-    "DEFAULT_LIMITS",
-    "Limits",
-    "is_m_vector",
-    "realize_mvector",
-    "graded_betti_brute",
-    "hilbert_function_truncated",
-    "intersect_monomial",
-    "IntPolynomial",
-    "RationalSeries",
-    "dual_series",
-    "extract_s_vector",
-    "h_poly",
-    "h_vector",
-    "hilbert_series_linear",
-    "hilbert_series_monomial",
-]

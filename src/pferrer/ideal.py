@@ -347,19 +347,21 @@ def _diagram_primes(part: PFerrerPartition, offsets: dict[int, int]) -> set[int]
     variables of runs 1..r, the intersection decomposition gives
         primes = {L_R} + union over r of {L_{r-1} + P : P in primes(c_r) - primes(c_{r-1})}
     with primes(c_0) empty; these sets are already minimal.  The runs are
-    those of ``intersection_decomposition``, from the same ``_runs``.
+    those of ``intersection_decomposition``, from the same ``_runs``.  Run 1
+    adds primes(c_1) unchanged (L_0 is empty), so that set becomes this node's
+    rather than a copy, and run 2 takes its difference before ``update``.
     """
     base = offsets[part.depth]
     if part.is_leaf:
         return {((1 << part.value) - 1) << base}
     children = part.children
-    primes = {((1 << len(children)) - 1) << base}
-    previous: set[int] = set()
-    for start, _ in _runs(children):
+    primes = previous = _diagram_primes(children[0], offsets)
+    for start, _ in _runs(children)[1:]:
         current = _diagram_primes(children[start], offsets)
         linear = ((1 << start) - 1) << base
         primes.update(linear | q for q in current - previous)
         previous = current
+    primes.add(((1 << len(children)) - 1) << base)
     return primes
 
 

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -350,7 +351,7 @@ def _check_height_projdim(part, ideal, profile, limits) -> dict:
 def cmd_verify(args, limits: Limits) -> int:
     if args.max_degree < 0:
         raise BadFlags(f"--max-degree must be non-negative, got {args.max_degree}")
-    oc._check_truncation(args.max_degree, limits)
+    limits.check("truncation_max_degree", args.max_degree)
     part = _load_diagram(args.path, limits)
     ideal = il.ferrer_ideal(part)
     profile = dg.diagonal_profile(part)
@@ -397,10 +398,18 @@ def cmd_dual(args, limits: Limits) -> int:
     return 0
 
 
+# an --h entry: ASCII digits, optionally signed and spaced; int() alone would
+# also read "1_0" and the digits of other scripts
+_H_ENTRY = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
 def cmd_macaulay(args, limits: Limits) -> int:
+    chunks = args.h.split(",")
     try:
-        h = tuple(int(chunk) for chunk in args.h.split(","))
-    except ValueError:
+        if not all(map(_H_ENTRY.fullmatch, chunks)):
+            raise ValueError
+        h = tuple(map(int, chunks))
+    except ValueError:  # int() also refuses past its limit on digits
         raise BadHVector(f"cannot parse {args.h!r}") from None
     realization = mc.realize_mvector(h, limits)
     _emit(

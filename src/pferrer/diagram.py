@@ -19,7 +19,6 @@ from .errors import (
     NonUniformDepth,
     NotDecreasing,
     SingletonDiagram,
-    SizeLimitExceeded,
 )
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -87,13 +86,9 @@ def validate(tree, limits: Limits = DEFAULT_LIMITS) -> PFerrerPartition:
     by its left sibling) after its children, left to right, and reports the
     first fault it meets: ``[[1, 2], 0]`` fails at ``$[0][1]``, not ``$[1]``.
     """
-    depth = _nesting_depth(tree)
-    if depth > limits.max_depth:
-        raise SizeLimitExceeded(f"depth {depth} exceeds limit {limits.max_depth}")
+    limits.check("max_depth", _nesting_depth(tree))
     part = _build(tree, "$")
-    count = box_count(part)
-    if count > limits.max_boxes:
-        raise SizeLimitExceeded(f"{count} boxes exceed limit {limits.max_boxes}")
+    limits.check("max_boxes", box_count(part))
     return part
 
 
@@ -243,11 +238,8 @@ def full_diagram(p: int, c: int, limits: Limits = DEFAULT_LIMITS) -> PFerrerPart
     """The diagram holding every box of (N*)^p with diagonal index at most c."""
     if p < 1 or c < 1:
         raise ValueError("p and c must be positive")
-    if p > limits.max_depth:
-        raise SizeLimitExceeded(f"depth {p} exceeds limit {limits.max_depth}")
-    total = math.comb(c + p - 1, p)
-    if total > limits.max_boxes:
-        raise SizeLimitExceeded(f"{total} boxes exceed limit {limits.max_boxes}")
+    limits.check("max_depth", p)
+    limits.check("max_boxes", math.comb(c + p - 1, p))
     return _full(p, c)
 
 

@@ -13,7 +13,7 @@ from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .diagram import Box, PFerrerPartition, boxes, group_sizes
-from .errors import DepthOne, NotSquarefree, SizeLimitExceeded
+from .errors import DepthOne, NotSquarefree
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -284,16 +284,6 @@ def intersection_decomposition(part: PFerrerPartition) -> tuple[IntersectionComp
     return tuple(components)
 
 
-def _check_hitting_set(variable_count: int, limits: Limits) -> None:
-    """The hitting-set limit on an ideal's ambient variables, checked by both
-    routes to minimal primes, ``minimal_primes`` and ``ferrer_dual``."""
-    if variable_count > limits.hitting_set_max_variables:
-        raise SizeLimitExceeded(
-            f"{variable_count} variables exceed hitting-set limit "
-            f"{limits.hitting_set_max_variables}"
-        )
-
-
 def minimal_primes(
     ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS
 ) -> frozenset[frozenset[Variable]]:
@@ -328,7 +318,7 @@ def _transversals(ideal: MonomialIdeal, limits: Limits) -> list[int]:
     """
     if not ideal.is_squarefree:
         raise NotSquarefree("minimal primes require a squarefree ideal")
-    _check_hitting_set(len(ideal.ambient), limits)
+    limits.check("hitting_set_max_variables", len(ideal.ambient))
     covers = [0]
     for g in sorted(set(ideal.masks())):
         bits = [1 << i for i in _bit_indices(g)]
@@ -379,7 +369,7 @@ def ferrer_dual(part: PFerrerPartition, limits: Limits = DEFAULT_LIMITS) -> Mono
     bounded by the same hitting-set limit, checked first."""
     groups = _group_variables(part)
     ambient = tuple(v for group in groups for v in group)
-    _check_hitting_set(len(ambient), limits)
+    limits.check("hitting_set_max_variables", len(ambient))
     offsets = dict(zip(range(part.depth, 0, -1), accumulate(map(len, groups), initial=0)))
     return _dual_ideal(_diagram_primes(part, offsets), ambient)
 

@@ -6,9 +6,20 @@ import dataclasses
 import json
 import os
 
-from .errors import BadLimits
+from .errors import BadLimits, SizeLimitExceeded, TooManyGenerators
 
 ENV_VAR = "FERRER_LIMITS"
+
+# each limit's error and message, formatted with the value and the limit
+BOUNDS = {
+    "max_depth": (SizeLimitExceeded, "depth {} exceeds limit {}"),
+    "max_boxes": (SizeLimitExceeded, "{} boxes exceed limit {}"),
+    "oracle_max_variables": (SizeLimitExceeded, "{} variables exceed oracle limit {}"),
+    "oracle_max_generators": (SizeLimitExceeded, "{} generators exceed oracle limit {}"),
+    "hitting_set_max_variables": (SizeLimitExceeded, "{} variables exceed hitting-set limit {}"),
+    "series_recursion_max_generators": (TooManyGenerators, "{} generators exceed limit {}"),
+    "truncation_max_degree": (SizeLimitExceeded, "degree {} exceeds truncation limit {}"),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -20,6 +31,13 @@ class Limits:
     hitting_set_max_variables: int = 30
     series_recursion_max_generators: int = 512
     truncation_max_degree: int = 20
+
+    def check(self, name: str, value: int) -> None:
+        """Raise the error ``BOUNDS`` gives ``name`` when ``value`` exceeds that limit."""
+        limit = getattr(self, name)
+        if value > limit:
+            error, message = BOUNDS[name]
+            raise error(message.format(value, limit))
 
     @classmethod
     def from_env(cls, environ=os.environ) -> "Limits":

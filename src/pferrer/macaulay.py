@@ -10,14 +10,8 @@ from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .diagram import PFerrerPartition, partition_from_boxes
-from .errors import (
-    BadHVector,
-    CountOutOfRange,
-    NotClosedUnderDivision,
-    NotMVector,
-    SizeLimitExceeded,
-)
-from .ideal import MonomialIdeal, _check_hitting_set, ferrer_dual, ferrer_ideal
+from .errors import BadHVector, CountOutOfRange, NotClosedUnderDivision, NotMVector
+from .ideal import MonomialIdeal, ferrer_dual, ferrer_ideal
 from .limits import DEFAULT_LIMITS, Limits
 from .series import h_vector, hilbert_series_monomial
 
@@ -171,12 +165,11 @@ def realize_mvector(h, limits: Limits = DEFAULT_LIMITS) -> Realization:
     hitting-set limit, which still bounds the dual, before the diagram is
     built."""
     h = _nonnegative(h)
-    if sum(h) > limits.max_boxes:
-        raise SizeLimitExceeded(f"{sum(h)} boxes exceed limit {limits.max_boxes}")
+    limits.check("max_boxes", sum(h))
     while len(h) > 1 and h[-1] == 0:
         h = h[:-1]
     mc = multicomplex_from_mvector(h)
-    _check_hitting_set(sum(map(max, zip(*mc.monomials))) + mc.nvars, limits)
+    limits.check("hitting_set_max_variables", sum(map(max, zip(*mc.monomials))) + mc.nvars)
     diagram = diagram_from_multicomplex(mc)
     ideal = ferrer_ideal(diagram)
     dual = ferrer_dual(diagram, limits)

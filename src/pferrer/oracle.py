@@ -270,15 +270,8 @@ def graded_betti_brute(
     _, width, (masks,) = _polarize((ideal.generators,), ideal.ambient)
     # every ambient variable owns one bit, and one of width w above 1 owns w
     nvars = len(ideal.ambient) + sum(width.values()) - len(width)
-    if nvars > limits.oracle_max_variables:
-        raise SizeLimitExceeded(
-            f"{nvars} variables exceed oracle limit {limits.oracle_max_variables}"
-        )
-    if len(masks) > limits.oracle_max_generators:
-        raise SizeLimitExceeded(
-            f"{len(masks)} generators exceed oracle limit "
-            f"{limits.oracle_max_generators}"
-        )
+    limits.check("oracle_max_variables", nvars)
+    limits.check("oracle_max_generators", len(masks))
     if not masks or 0 in masks:
         return GradedBettiTable(())  # the zero ideal, or the unit ideal
     return _betti_of_masks(tuple(sorted(masks)))
@@ -307,15 +300,6 @@ def _betti_of_masks(ordered: tuple[int, ...]) -> GradedBettiTable:
     return GradedBettiTable.of(entries)
 
 
-def _check_truncation(max_degree: int, limits: Limits) -> None:
-    """The truncation limit of ``hilbert_function_truncated``, also checked by
-    ``verify`` on its flag before any oracle work."""
-    if max_degree > limits.truncation_max_degree:
-        raise SizeLimitExceeded(
-            f"degree {max_degree} exceeds truncation limit {limits.truncation_max_degree}"
-        )
-
-
 def hilbert_function_truncated(
     ideal: MonomialIdeal, max_degree: int, limits: Limits = DEFAULT_LIMITS
 ) -> tuple[int, ...]:
@@ -335,7 +319,7 @@ def hilbert_function_truncated(
     the all-zero tail has a generator dividing every monomial left, so it
     and the levels above count zero and are neither computed nor memoized.
     """
-    _check_truncation(max_degree, limits)
+    limits.check("truncation_max_degree", max_degree)
     variables = ideal.ambient
     n = len(variables)
     top = max_degree + 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import NotPLinearShape, TooManyGenerators
+from .errors import NotPLinearShape
 from .ideal import MonomialIdeal
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -230,11 +230,7 @@ def hilbert_series_monomial(
     ambient variables.  The numerator comes from pivot splitting on the most
     frequent variable (``_numerator_splitting``).
     """
-    gens = ideal.generators
-    if len(gens) > limits.series_recursion_max_generators:
-        raise TooManyGenerators(
-            f"{len(gens)} generators exceed limit {limits.series_recursion_max_generators}"
-        )
+    limits.check("series_recursion_max_generators", len(ideal.generators))
     return RationalSeries(
         IntPolynomial.of(_numerator_splitting(frozenset(ideal.masks()))),
         len(ideal.ambient),

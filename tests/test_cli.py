@@ -835,3 +835,32 @@ def test_deep_macaulay_stops_at_the_series_generator_limit(monkeypatch, capsys):
         '{\n  "error": "TooManyGenerators",\n'
         '  "message": "20100 generators exceed limit 512"\n}\n'
     )
+
+
+# int() reads the first four: an underscore, an Arabic-Indic and a fullwidth
+# digit, and a no-break space
+@pytest.mark.parametrize("h", ["1,1_0", "1,\u0662", "1,\uff12", "1,2\u00a0", "1,0x2", "1,2.0", "1,"])
+def test_macaulay_reads_only_ascii_decimal_entries(capsys, h):
+    code, out = run_cli(capsys, "macaulay", f"--h={h}")
+    assert code == 2
+    assert json.loads(out) == {"error": "BadHVector", "message": f"cannot parse {h!r}"}
+
+
+@pytest.mark.parametrize("h, entries", [("1,2", [1, 2]), (" 1 ,+2 ", [1, 2]), ("1,02,1", [1, 2, 1])])
+def test_macaulay_reads_signed_spaced_ascii_entries(capsys, h, entries):
+    code, out = run_cli(capsys, "macaulay", f"--h={h}")
+    assert code == 0
+    assert json.loads(out)["h"] == entries
+
+
+def test_macaulay_reports_a_negative_first_entry(capsys):
+    code, out = run_cli(capsys, "macaulay", "--h=-1,0")
+    assert code == 2
+    assert json.loads(out) == {"error": "BadHVector", "message": "h_0 = -1 is negative"}
+
+
+def test_macaulay_refuses_an_entry_past_the_digit_limit(capsys):
+    h = "1," + "1" * 5000
+    code, out = run_cli(capsys, "macaulay", f"--h={h}")
+    assert code == 2
+    assert json.loads(out)["error"] == "BadHVector"

@@ -1,9 +1,15 @@
 """Every ``Limits`` bound at its site: one past the limit raises the exact
 error class and message, at the limit nothing is raised, and where the
-bounded work can be replaced the check is shown to run before it.
+bounded work can be replaced the check is shown to run before it.  The guard
+below keeps the error classes and messages in the one table of
+``pferrer.limits``.
 
     PYTHONPATH=src python -m pytest -q tests/test_limits.py
 """
+
+import ast
+import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +21,9 @@ from pferrer import macaulay as mc
 from pferrer import oracle as oc
 from pferrer import series as sr
 from pferrer.errors import SizeLimitExceeded, TooManyGenerators
-from pferrer.limits import Limits
+from pferrer.limits import BOUNDS, Limits
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pferrer"
 
 # the ideal of [2, 1]: 4 variables, 3 generators
 STAIRCASE = il.ferrer_ideal(dg.validate([2, 1]))
@@ -91,3 +99,41 @@ def test_each_bound_at_its_site(monkeypatch, capsys, call, field, value, error, 
     assert type(caught.value) is error
     assert str(caught.value) == message
 
+
+def test_the_table_has_one_row_per_limit():
+    assert set(BOUNDS) == {field.name for field in dataclasses.fields(Limits)}
+
+
+def _limit_error_calls(tree):
+    """(enclosing function name, error name) of every call of a limit error."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("SizeLimitExceeded", "TooManyGenerators"):
+                found.append((function, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_limit_errors_are_raised_only_through_the_table():
+    # besides limits.py: the exact-rank constant, which is not a Limits key,
+    # and the CLI's mapping of a RecursionError
+    allowed = {
+        ("oracle", "_morse_homology", "SizeLimitExceeded"),
+        ("cli", "_dispatch", "SizeLimitExceeded"),
+    }
+    inline = {
+        (path.stem, function, name)
+        for path in SRC.glob("*.py")
+        if path.stem != "limits"
+        for function, name in _limit_error_calls(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert inline == allowed

@@ -139,7 +139,7 @@ def _load_diagram(path: str, limits: Limits) -> dg.PFerrerPartition:
         raise UnreadableFile(f"cannot read {path}: {err.strerror}") from None
     try:
         tree = json.loads(raw)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or a numeral past int's digit limit
         raise BadJSON(str(err)) from None
     except RecursionError:
         raise BadJSON("JSON nested too deeply to parse") from None

@@ -34,25 +34,12 @@ INCOMPARABLE = "incomparable"
 class PFerrerPartition:
     """Immutable partition tree; ``value`` is set on leaves, ``children`` on nodes.
 
-    Equality is by value.  The hash is computed once, at construction, from
-    the children's stored hashes, so a cache lookup on a deep tree does not
-    rehash every level.
+    Equality and the hash are the dataclass's, by value over the fields.
     """
 
     depth: int
     value: int | None = None
     children: tuple["PFerrerPartition", ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.depth, self.value, self.children)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuilt, not restored: hash(None) in a node's hash differs between
-        # processes, so a stored hash would not survive a pickle.
-        return PFerrerPartition, (self.depth, self.value, self.children)
 
     @staticmethod
     def leaf(value: int) -> "PFerrerPartition":
@@ -150,24 +137,28 @@ def compare(a: PFerrerPartition, b: PFerrerPartition) -> str:
     return INCOMPARABLE
 
 
-@lru_cache(maxsize=1024)
 def box_count(part: PFerrerPartition) -> int:
     if part.is_leaf:
         return part.value
     return sum(box_count(child) for child in part.children)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1)
 def boxes(part: PFerrerPartition) -> tuple[Box, ...]:
     """The finite downward-closed subset of (N*)^p encoded by the partition,
     in canonical order: ascending by reversed coordinates, the order of the
-    diagram ideal's generators.  Slice i's boxes, in their own order, come
-    after those of slices before it, so the recursion needs no sort."""
-    if part.is_leaf:
-        return tuple((i,) for i in range(1, part.value + 1))
-    return tuple(
-        eta + (i,) for i, child in enumerate(part.children, start=1) for eta in boxes(child)
-    )
+    diagram ideal's generators.  One walk, level by level from the root:
+    each node's children extend its suffix of last coordinates in child
+    order, so every level is already in canonical order of its suffixes and
+    the walk needs no sort.  Only the last diagram's tuple is kept."""
+    level = [(part, ())]
+    while not level[0][0].is_leaf:
+        level = [
+            (child, (i,) + suffix)
+            for node, suffix in level
+            for i, child in enumerate(node.children, start=1)
+        ]
+    return tuple((i,) + suffix for leaf, suffix in level for i in range(1, leaf.value + 1))
 
 
 def group_sizes(part: PFerrerPartition) -> tuple[int, ...]:

@@ -26,7 +26,8 @@ class NonPositiveLeaf(ValidationError):
 
 
 class BadJSON(FerrerError):
-    """The diagram input is not UTF-8 JSON, or is nested too deeply to parse."""
+    """The diagram input is not UTF-8 JSON, is nested too deeply to parse, or
+    holds a numeral past the interpreter's limit on int conversion."""
 
 
 class UnreadableFile(FerrerError):

@@ -47,7 +47,7 @@ class Limits:
             return cls()
         try:
             data = json.loads(raw)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, or a numeral past int's digit limit
             raise BadLimits(str(err)) from None
         if not isinstance(data, dict):
             raise BadLimits(f"{ENV_VAR} must be a JSON object")

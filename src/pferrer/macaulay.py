@@ -145,8 +145,6 @@ def diagram_from_multicomplex(mc: Multicomplex) -> PFerrerPartition:
 
 @dataclass(frozen=True)
 class Realization:
-    mvector: tuple[int, ...]
-    multicomplex: Multicomplex
     diagram: PFerrerPartition
     ideal: MonomialIdeal
     dual: MonomialIdeal
@@ -174,4 +172,4 @@ def realize_mvector(h, limits: Limits = DEFAULT_LIMITS) -> Realization:
     ideal = ferrer_ideal(diagram)
     dual = ferrer_dual(diagram, limits)
     dual_h = h_vector(hilbert_series_monomial(dual, limits))
-    return Realization(h, mc, diagram, ideal, dual, dual_h, dual_h == h)
+    return Realization(diagram, ideal, dual, dual_h, dual_h == h)

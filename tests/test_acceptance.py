@@ -347,9 +347,10 @@ def test_criterion_09_pure_resolution_arithmetic(capsys):
         scaled_type, scaled_betti = iv.scaled_resolution_type((0, 2, 3), (1, 3, 2), 5)
         ok = scaled_type == (0, 10, 15) and scaled_betti == (1, 3, 2)
     if ok:
-        base = tuple(iv.betti_cm(3, 2, j) for j in range(4))
+        # type (0,3,4,5): codimension 3, generated in degree 3
+        base = tuple(iv.betti_cm(3, 3, j) for j in range(4))
         scaled = iv.scaled_resolution_type((0, 3, 4, 5), base, 3)
-        ok = scaled == ((0, 9, 12, 15), base)
+        ok = base == (1, 10, 15, 6) and scaled == ((0, 9, 12, 15), base)
     with capsys.disabled():
         criterion(
             9, ok, "(2,3,1) -> (3,2); scaling multiplies types, keeps Betti numbers"

@@ -166,6 +166,23 @@ def test_report_bad_json_exit_2(capsys, tmp_path):
     assert json.loads(out)["error"] == "BadJSON"
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize(
+    "digits, code, error", [(4300, 4, "SizeLimitExceeded"), (4301, 2, "BadJSON")]
+)
+def test_report_long_numeral(capsys, tmp_path, monkeypatch, source, digits, code, error):
+    # 4,300 digits is the interpreter's default limit on int conversion
+    text = "[" + "9" * digits + "]"
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        path = "-"
+    else:
+        path = tmp_path / "long.json"
+        path.write_text(text, encoding="utf-8")
+    got, out = run_cli(capsys, "report", str(path))
+    assert (got, json.loads(out)["error"]) == (code, error)
+
+
 @pytest.mark.parametrize(
     "name, error",
     [
@@ -202,19 +219,22 @@ def test_report_deeply_nested_json(capsys, tmp_path, depth):
 
 
 @pytest.mark.parametrize(
-    "command, depth", [("report", 500), ("series", 400), ("dual", 400), ("verify", 400)]
+    "command, depth", [("report", 500), ("series", 500), ("dual", 500), ("verify", 500)]
 )
 def test_nesting_past_the_recursion_limit_exit_4(
     capsys, tmp_path, monkeypatch, command, depth
 ):
-    # max_depth admits the tree; walking it overflows the interpreter's stack
+    # max_depth admits the tree; building it in validate overflows the
+    # interpreter's stack before any command walks it
     monkeypatch.setenv("FERRER_LIMITS", json.dumps({"max_depth": 5000}))
     tree = 1
     for _ in range(depth - 1):
         tree = [tree]
     code, out = run_cli(capsys, command, write_diagram(tmp_path, tree))
     assert code == 4
-    assert json.loads(out)["error"] == "SizeLimitExceeded"
+    doc = json.loads(out)
+    assert doc["error"] == "SizeLimitExceeded"
+    assert doc["message"] == "input nested too deeply for the interpreter's recursion limit"
 
 
 def test_report_inconsistent_fields_exit_3(capsys, monkeypatch):
@@ -536,6 +556,15 @@ def test_macaulay_14341(capsys):
     assert len(doc["generators"]) == 13
 
 
+def test_macaulay_trailing_zeros_are_trimmed(capsys):
+    _, trimmed = run_cli(capsys, "macaulay", "--h", "1,4,3,4,1")
+    code, out = run_cli(capsys, "macaulay", "--h", "1,4,3,4,1,0,0")
+    assert code == 0
+    doc, expected = json.loads(out), json.loads(trimmed)
+    assert doc["h"] == [1, 4, 3, 4, 1, 0, 0] and doc["verified"] is True
+    assert {**doc, "h": expected["h"]} == expected
+
+
 def test_macaulay_rejects_non_mvector(capsys):
     code, out = run_cli(capsys, "macaulay", "--h", "1,2,4")
     assert code == 5
@@ -691,8 +720,9 @@ def test_limits_env_override(capsys, tmp_path, monkeypatch):
         '{"max_boxes": true}',
         '{"max_boxes": -1}',
         "[1]",
+        '{"max_boxes": %s}' % ("9" * 4301),  # past int's default 4,300-digit limit
     ],
-    ids=["unknown", "removed", "string", "bool", "negative", "not-object"],
+    ids=["unknown", "removed", "string", "bool", "negative", "not-object", "long-numeral"],
 )
 def test_limits_env_rejects_unknown_keys(capsys, monkeypatch, raw):
     monkeypatch.setenv("FERRER_LIMITS", raw)

@@ -59,6 +59,8 @@ json_ish = st.one_of(
     ).map(json.dumps),
     st.text(alphabet='[]{},:"0123456789-.e tx\né', max_size=30),
     st.integers(1, 3000).map(lambda depth: "[" * depth + "1" + "]" * depth),
+    # around the interpreter's 4,300-digit limit on int conversion
+    st.integers(4290, 4310).map(lambda digits: "[" + "9" * digits + "]"),
 )
 
 

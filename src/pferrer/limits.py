@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
+import sys
+from typing import NamedTuple
 
 from .errors import BadLimits, SizeLimitExceeded, TooManyGenerators
 
@@ -22,8 +23,7 @@ BOUNDS = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     max_depth: int = 6
     max_boxes: int = 10_000
     oracle_max_variables: int = 16
@@ -37,7 +37,7 @@ class Limits:
         limit = getattr(self, name)
         if value > limit:
             error, message = BOUNDS[name]
-            raise error(message.format(value, limit))
+            raise error(message.format(_numeral(value), limit))
 
     @classmethod
     def from_env(cls, environ=os.environ) -> "Limits":
@@ -51,14 +51,22 @@ class Limits:
             raise BadLimits(str(err)) from None
         if not isinstance(data, dict):
             raise BadLimits(f"{ENV_VAR} must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise BadLimits(f"unknown limit names in {ENV_VAR}: {sorted(unknown)}")
         for name, value in data.items():
             if type(value) is not int or value < 0:
                 raise BadLimits(f"{ENV_VAR}: {name} must be a non-negative integer")
         return cls(**data)
+
+
+def _numeral(value: int) -> str:
+    """``value`` in decimal, or a phrase when it has more digits than the
+    interpreter converts to a string (4,300 by default)."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a number of more than {sys.get_int_max_str_digits()} digits"
 
 
 DEFAULT_LIMITS = Limits()

@@ -5,7 +5,6 @@ exponents up by one."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -87,8 +86,7 @@ def revlex_segment(nvars: int, degree: int, count: int) -> list[Exponents]:
     return monomials[:count]
 
 
-@dataclass(frozen=True)
-class Multicomplex:
+class Multicomplex(NamedTuple):
     """Finite divisibility-closed set of monomials in nvars variables."""
 
     monomials: frozenset[Exponents]
@@ -143,8 +141,7 @@ def diagram_from_multicomplex(mc: Multicomplex) -> PFerrerPartition:
     return partition_from_boxes(shifted, mc.nvars)
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     diagram: PFerrerPartition
     ideal: MonomialIdeal
     dual: MonomialIdeal

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import NotPLinearShape
 from .ideal import MonomialIdeal
 from .limits import DEFAULT_LIMITS, Limits
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Integer polynomial; coeffs[k] is the coefficient of t^k, trailing zeros trimmed."""
 
     coeffs: tuple[int, ...]
@@ -127,15 +126,21 @@ def _one_minus_t_power(e: int) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class RationalSeries:
-    """numerator / (1 - t)^denom_exponent, stored in canonical form."""
-
+class _SeriesFields(NamedTuple):
     numerator: IntPolynomial
     denom_exponent: int
 
-    def __post_init__(self):
-        num, d = self.numerator, self.denom_exponent
+
+class RationalSeries(_SeriesFields):
+    """numerator / (1 - t)^denom_exponent, stored in canonical form.
+
+    Every construction cancels the factors (1 - t) of the numerator.
+    ``_make`` and ``_replace`` would skip that, so nothing calls them."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerator: IntPolynomial, denom_exponent: int) -> "RationalSeries":
+        num, d = numerator, denom_exponent
         if num.is_zero:
             d = 0
         while not num.is_zero:
@@ -143,8 +148,7 @@ class RationalSeries:
             if quotient is None:
                 break
             num, d = quotient, d - 1
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denom_exponent", d)
+        return super().__new__(cls, num, d)
 
     def taylor(self, degree: int) -> tuple[int, ...]:
         """Series coefficients of t^0 .. t^degree."""

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import io
 import json
@@ -166,6 +165,17 @@ def test_report_bad_json_exit_2(capsys, tmp_path):
     assert json.loads(out)["error"] == "BadJSON"
 
 
+def report_text(capsys, tmp_path, monkeypatch, source, text):
+    """``report`` on ``text``, read from a file or from stdin."""
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        path = "-"
+    else:
+        path = tmp_path / "long.json"
+        path.write_text(text, encoding="utf-8")
+    return run_cli(capsys, "report", str(path))
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 @pytest.mark.parametrize(
     "digits, code, error", [(4300, 4, "SizeLimitExceeded"), (4301, 2, "BadJSON")]
@@ -173,14 +183,20 @@ def test_report_bad_json_exit_2(capsys, tmp_path):
 def test_report_long_numeral(capsys, tmp_path, monkeypatch, source, digits, code, error):
     # 4,300 digits is the interpreter's default limit on int conversion
     text = "[" + "9" * digits + "]"
-    if source == "stdin":
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        path = "-"
-    else:
-        path = tmp_path / "long.json"
-        path.write_text(text, encoding="utf-8")
-    got, out = run_cli(capsys, "report", str(path))
+    got, out = report_text(capsys, tmp_path, monkeypatch, source, text)
     assert (got, json.loads(out)["error"]) == (code, error)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_report_limit_message_past_the_digit_limit(capsys, tmp_path, monkeypatch, source):
+    # each leaf converts, but the 4,301-digit box count cannot be printed
+    text = "[" + "9" * 4300 + ", " + "9" * 4300 + "]"
+    got, out = report_text(capsys, tmp_path, monkeypatch, source, text)
+    assert got == 4
+    assert json.loads(out) == {
+        "error": "SizeLimitExceeded",
+        "message": "a number of more than 4300 digits boxes exceed limit 10000",
+    }
 
 
 @pytest.mark.parametrize(
@@ -242,7 +258,7 @@ def test_report_inconsistent_fields_exit_3(capsys, monkeypatch):
 
     def wrong_projdim(profile):
         summary = real(profile)
-        return dataclasses.replace(summary, projdim=summary.projdim + 1)
+        return summary._replace(projdim=summary.projdim + 1)
 
     monkeypatch.setattr(iv, "homological_summary", wrong_projdim)
     code, out = run_cli(capsys, "report", str(FIXTURES / "staircase_22.json"))
@@ -257,7 +273,7 @@ def test_report_certificate_cross_checks_summary_ara_exit_3(capsys, monkeypatch)
 
     def wrong_ara(profile):
         summary = real(profile)
-        return dataclasses.replace(summary, ara=summary.ara + 1)
+        return summary._replace(ara=summary.ara + 1)
 
     monkeypatch.setattr(iv, "homological_summary", wrong_ara)
     path = str(FIXTURES / "staircase_22.json")
@@ -377,7 +393,7 @@ def test_verify_closed_form_prime_missing_exit_3(capsys, monkeypatch):
 
     def short(part, limits):
         dual = ferrer_dual(part, limits)
-        return dataclasses.replace(dual, generators=dual.generators[:-1])
+        return dual._replace(generators=dual.generators[:-1])
 
     monkeypatch.setattr(il, "ferrer_dual", short)
     code, out = run_cli(capsys, "verify", str(FIXTURES / "staircase_22.json"))

@@ -76,6 +76,29 @@ def test_validate_rejects_empty_and_garbage():
         dg.validate(True)
 
 
+PART = dg.validate([2, 1])
+
+
+@pytest.mark.parametrize(
+    "tree, name, path",
+    [
+        (PART, "PFerrerPartition", "$"),
+        ([PART], "PFerrerPartition", "$[0]"),
+        (dg.diagonal_profile(PART), "DiagonalProfile", "$"),
+    ],
+)
+def test_validate_rejects_value_types(tree, name, path):
+    # a value type is a tuple of its fields, but never a raw node
+    with pytest.raises(NonUniformDepth) as err:
+        dg.validate(tree)
+    assert str(err.value) == f"expected integer or list, got {name} at {path}"
+    assert err.value.path == path
+
+
+def test_validate_accepts_tuple_trees():
+    assert dg.validate(((2, 1), (1,))) == dg.validate([[2, 1], [1]])
+
+
 def test_validate_enforces_limits():
     deep = 2
     for _ in range(6):

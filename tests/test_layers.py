@@ -5,9 +5,13 @@
 
 The package ``__init__`` re-exports nothing, so importing ``pferrer.oracle``
 does not run the closed-form modules; ``test_oracle_imports_no_formula_module``
-also sees imports written inside function bodies.
+also sees imports written inside function bodies.  No module loads
+``dataclasses`` or ``inspect``, about 7 ms of every CLI start: the value
+types are NamedTuples.
 """
 
+import ast
+import functools
 import json
 import os
 import subprocess
@@ -36,12 +40,14 @@ LOADED = {
 MODULES = sorted(path.stem for path in (SRC / "pferrer").glob("*.py") if path.stem != "__init__")
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_importing_a_module_loads_only_its_layers(module):
-    code = (
-        f"import json, sys, pferrer.{module}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('pferrer.'))))"
-    )
+# standard modules the package must not load: their import chain is slow
+SLOW = {"dataclasses", "inspect"}
+
+
+@functools.cache
+def modules_after(statement: str) -> frozenset[str]:
+    """``sys.modules`` of a fresh interpreter once ``statement`` has run."""
+    code = f"{statement}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -50,5 +56,37 @@ def test_importing_a_module_loads_only_its_layers(module):
         timeout=60,
         check=True,
     )
-    loaded = {name.removeprefix("pferrer.") for name in json.loads(done.stdout)}
+    return frozenset(json.loads(done.stdout))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_importing_a_module_loads_only_its_layers(module):
+    modules = modules_after(f"import pferrer.{module}")
+    loaded = {name.removeprefix("pferrer.") for name in modules if name.startswith("pferrer.")}
     assert loaded == LOADED[module]  # a new module needs its row above
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_importing_a_module_loads_no_slow_standard_module(module):
+    # against a bare interpreter, whose ``site`` may import modules of its own
+    added = modules_after(f"import pferrer.{module}") - modules_after("pass")
+    assert not added & SLOW
+
+
+def test_no_dataclass_in_the_package():
+    found = []
+    for path in sorted((SRC / "pferrer").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                imported = []
+            if any(name.split(".")[0] == "dataclasses" for name in imported):
+                found.append((path.name, node.lineno, "import"))
+            for decorator in getattr(node, "decorator_list", ()):
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                    found.append((path.name, decorator.lineno, "decorator"))
+    assert found == []

@@ -5,7 +5,6 @@ module in ``src/pferrer``, and the ``FERRER_LIMITS`` sentence names every
     PYTHONPATH=src python -m pytest -q tests/test_readme.py
 """
 
-import dataclasses
 import re
 from pathlib import Path
 
@@ -31,4 +30,4 @@ def test_limits_sentence_names_every_field():
     sentences = re.findall(r"The keys are (.*?);", README, re.DOTALL)
     assert len(sentences) == 1
     keys = re.findall(r"`(\w+)`", sentences[0])
-    assert sorted(keys) == sorted(field.name for field in dataclasses.fields(Limits))
+    assert sorted(keys) == sorted(Limits._fields)

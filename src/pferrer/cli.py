@@ -121,8 +121,22 @@ def _dumps_witnesses(witnesses: _Witnesses, pad: str) -> str:
     return "[\n" + item + (",\n" + item).join(rows) + "\n" + pad + "]"
 
 
+def _print(render, document) -> None:
+    """Print ``render(document)`` with no limit on the digits of an int.
+
+    Inputs stay parsed under the interpreter's limit, but a computed value
+    may pass it (``pure`` scales by any ``--alpha``), so the limit is lifted
+    only while the document is encoded and printed, then restored."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(render(document))
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _emit(document: dict) -> None:
-    print(_dumps(document))
+    _print(_dumps, document)
 
 
 def _load_diagram(path: str, limits: Limits) -> dg.PFerrerPartition:
@@ -247,7 +261,7 @@ def cmd_report(args, limits: Limits) -> int:
     if relation is not None:
         raise InconsistentReport(relation)
     if args.text:
-        print(_render_text(doc))
+        _print(_render_text, doc)
     else:
         _emit(doc)
     return 0
@@ -423,7 +437,7 @@ def cmd_macaulay(args, limits: Limits) -> int:
             "verified": realization.verified,
         }
     )
-    return 0
+    return 0 if realization.verified else EXIT_MISMATCH
 
 
 def cmd_pure(args, limits: Limits) -> int:

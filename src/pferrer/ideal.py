@@ -167,6 +167,40 @@ def _antichain_ideal(gens: Iterable[Monomial], ambient: Iterable[Variable] = ())
     return MonomialIdeal(tuple(gens), tuple(sorted(support, key=variable_key)))
 
 
+def _minimal_masks(masks) -> list[int]:
+    """The distinct masks, by ascending popcount, that have no other as a submask."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        for k in kept:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+def _minimal_ors(groups: Iterable[Sequence[int]]) -> list[int]:
+    """The minimal ORs of one mask from each group: from the empty OR 0, each
+    group's masks in turn are ORed into the minimal ones so far, keeping the
+    minimal results (an OR above a dropped one is above a kept one).  Under
+    one polarization, the minimal lcms of one generator from each list."""
+    minimal = [0]
+    for masks in groups:
+        minimal = _minimal_masks(g | h for g in minimal for h in masks)
+    return minimal
+
+
+def _decode(masks: Iterable[int], offset: dict[Variable, int], width: dict[Variable, int],
+            ambient: Sequence[Variable]) -> MonomialIdeal:
+    """The ideal of pairwise non-submask ``masks`` under a ``_polarize``
+    offset and width, each block's popcount read back as its variable's
+    exponent; ``ambient`` is in canonical order."""
+    blocks = [(v, ((1 << width.get(v, 1)) - 1) << offset[v]) for v in ambient]
+    gens = (Monomial(tuple((v, e) for v, block in blocks if (e := (m & block).bit_count())))
+            for m in masks)
+    return _antichain_ideal(gens, ambient)
+
+
 class GradedBettiTable(NamedTuple):
     """Graded Betti numbers of a quotient S/I, the closed form's and the
     oracle's alike: entries (homological index j, internal degree, value),
@@ -284,13 +318,10 @@ def minimal_primes(
     ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS
 ) -> frozenset[frozenset[Variable]]:
     """Inclusion-minimal variable sets meeting the support of every generator,
-    for any squarefree ideal, by brute force.  A diagram ideal's are read off
-    its decomposition by ``ferrer_dual``; this route stays for other ideals
-    and the tests."""
-    variables = ideal.ambient
-    return frozenset(
-        frozenset(variables[i] for i in _bit_indices(c)) for c in _transversals(ideal, limits)
-    )
+    for any squarefree ideal, by brute force: the supports of the generators
+    of ``alexander_dual``.  A diagram ideal's are read off its decomposition
+    by ``ferrer_dual``; this route stays for other ideals and the tests."""
+    return frozenset(frozenset(g.support) for g in alexander_dual(ideal, limits).generators)
 
 
 def _bit_indices(mask: int) -> list[int]:
@@ -301,27 +332,6 @@ def _bit_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _transversals(ideal: MonomialIdeal, limits: Limits) -> list[int]:
-    """The minimal primes as masks over the ambient, by Berge's transversal
-    loop over the distinct generator masks in ascending order.
-
-    The loop keeps ``covers`` exactly minimal: a cover meeting the next mask
-    g is kept, one missing g grows by each bit of g, and a grown cover is
-    dropped only when it contains a kept one (grown covers are pairwise
-    incomparable, and none lies inside a kept one).
-    """
-    if not ideal.is_squarefree:
-        raise NotSquarefree("minimal primes require a squarefree ideal")
-    limits.check("hitting_set_max_variables", len(ideal.ambient))
-    covers = [0]
-    for g in sorted(set(ideal.masks())):
-        bits = [1 << i for i in _bit_indices(g)]
-        kept = [c for c in covers if c & g]
-        grown = [c | bit for c in covers if not c & g for bit in bits]
-        covers = kept + [c for c in grown if not any(k & c == k for k in kept)]
-    return covers
 
 
 def _diagram_primes(part: PFerrerPartition, offsets: dict[int, int]) -> set[int]:
@@ -377,7 +387,12 @@ def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
 
 def alexander_dual(ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS) -> MonomialIdeal:
     """Squarefree dual of any squarefree ideal: one generator per minimal
-    prime, found by the hitting-set search of ``minimal_primes``; an
-    involution.  NotSquarefree for any other ideal.  A diagram ideal's dual
-    comes from ``ferrer_dual`` without that search."""
-    return _dual_ideal(_transversals(ideal, limits), ideal.ambient)
+    prime, the minimal ORs of one bit from each distinct generator mask, in
+    ascending order (on the 5^4 box's 2,500 generators, set order ORs 74
+    times as many pairs); an involution.  NotSquarefree for any other ideal.
+    A diagram ideal's dual comes from ``ferrer_dual`` without that search."""
+    if not ideal.is_squarefree:
+        raise NotSquarefree("minimal primes require a squarefree ideal")
+    limits.check("hitting_set_max_variables", len(ideal.ambient))
+    groups = ([1 << i for i in _bit_indices(g)] for g in sorted(set(ideal.masks())))
+    return _dual_ideal(_minimal_ors(groups), ideal.ambient)

@@ -21,9 +21,11 @@ the counts in every degree up to the bound: a set holding the all-zero tail
 counts zero without recursing, and each interval of exponents over which
 the set is constant adds one sub-vector as a running sum.  Intersections of
 monomial ideals polarize all of them jointly, once, and fold minimal ORs of
-masks.  Nothing here knows about diagrams or closed formulas, so
-agreement with the formula modules is a genuine two-route check; the Betti
-table type both routes return, ``GradedBettiTable``, lives in ``ideal``.
+masks with ``ideal``'s fold, which also finds ``alexander_dual``'s hitting
+sets, and ``ideal`` decodes them: this module builds no monomial.  Nothing
+here knows about diagrams or closed formulas, so agreement with the formula
+modules is a genuine two-route check; the Betti table type both routes
+return, ``GradedBettiTable``, lives in ``ideal``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import math
 from functools import lru_cache
 
 from .errors import SizeLimitExceeded
-from .ideal import GradedBettiTable, Monomial, MonomialIdeal, variable_key
-from .ideal import _antichain_ideal, _bit_indices, _polarize
+from .ideal import GradedBettiTable, MonomialIdeal, variable_key
+from .ideal import _bit_indices, _decode, _minimal_masks, _minimal_ors, _polarize
 from .limits import DEFAULT_LIMITS, Limits
 
 # The exact-rank fallback of ``_morse_homology`` refuses complexes of more
@@ -147,18 +149,6 @@ def _morse_homology(faces: set[int], vertex_count: int) -> dict[int, int]:
             )
         return _homology_of_faces(faces)
     return {size - 1: len(critical) for size in sizes}
-
-
-def _minimal_masks(masks) -> list[int]:
-    """The distinct masks, by ascending popcount, that have no other as a submask."""
-    kept: list[int] = []
-    for m in sorted(set(masks), key=int.bit_count):
-        for k in kept:
-            if k & m == k:
-                break
-        else:
-            kept.append(m)
-    return kept
 
 
 def _strong_collapse(vertices: int, sets) -> tuple[int, list[int]] | None:
@@ -368,20 +358,11 @@ def intersect_monomial(first: MonomialIdeal, *rest: MonomialIdeal) -> MonomialId
     its generators are the minimal lcms of one generator from each.
 
     All the ideals are polarized together once (``_polarize``), so an lcm is
-    an OR of masks.  From the unit ideal's mask 0, each ideal's masks in turn
-    are ORed into the minimal ones so far (``_minimal_masks``), and the last
-    ones decode once, each block's popcount back to an exponent.  Exact for
-    any monomial ideals, squarefree or not.
+    an OR of masks; ``_minimal_ors`` folds them, from the unit ideal's mask
+    0, and ``_decode`` reads each block's popcount back as an exponent, once.
+    Exact for any monomial ideals, squarefree or not.
     """
     ideals = (first, *rest)
     ambient = sorted(set().union(*(i.ambient for i in ideals)), key=variable_key)
     offset, width, groups = _polarize([i.generators for i in ideals], ambient)
-    minimal = [0]
-    for masks in groups:
-        minimal = _minimal_masks(g | h for g in minimal for h in masks)
-    blocks = [(v, ((1 << width.get(v, 1)) - 1) << offset[v]) for v in ambient]
-    gens = [
-        Monomial(tuple((v, e) for v, block in blocks if (e := (m & block).bit_count())))
-        for m in minimal
-    ]
-    return _antichain_ideal(gens, ambient)
+    return _decode(_minimal_ors(groups), offset, width, ambient)

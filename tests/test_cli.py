@@ -22,6 +22,7 @@ from pferrer import cli
 from pferrer import diagram as dg
 from pferrer import ideal as il
 from pferrer import invariants as iv
+from pferrer import macaulay as mc
 from pferrer import oracle as oc
 from pferrer import series as sr
 from pferrer.errors import BadLimits
@@ -628,6 +629,20 @@ def test_macaulay_trivial(capsys):
     assert doc["diagram"] == 1 and doc["verified"] is True
 
 
+def test_macaulay_exits_3_when_its_own_check_fails(monkeypatch, capsys):
+    # the series of the zero ideal on the dual's variables has h-vector (1,)
+    def wrong_series(dual, limits):
+        return sr.hilbert_series_monomial(il.MonomialIdeal((), dual.ambient), limits)
+
+    _, right = run_cli(capsys, "macaulay", "--h", "1,4,3,4,1")
+    monkeypatch.setattr(mc, "hilbert_series_monomial", wrong_series)
+    code, out = run_cli(capsys, "macaulay", "--h", "1,4,3,4,1")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["verified"] is False and doc["dual_h_vector"] == [1]
+    assert {**doc, "verified": True, "dual_h_vector": [1, 4, 3, 4, 1]} == json.loads(right)
+
+
 def test_pure_displayed_example(capsys):
     code, out = run_cli(capsys, "pure", "--a1", "2", "--a2", "3", "--beta0", "1")
     assert code == 0
@@ -647,6 +662,28 @@ def test_pure_c_differs_from_p(capsys):
     code, out = run_cli(capsys, "pure", "--c", "3", "--p", "2", "--alpha", "1")
     assert code == 0
     assert json.loads(out) == {"type": [0, 3, 4], "betti": [1, 4, 3], "alpha": 1}
+
+
+def test_pure_prints_numbers_past_the_digit_limit(capsys, tmp_path):
+    # 4,300 digits is the interpreter's default limit on int conversion, so
+    # the printed numbers are compared as digit strings
+    nines = "9" * 4300
+    code, out = run_cli(capsys, "pure", "--a1", "1", "--a2", "10", "--beta0", nines)
+    assert code == 0
+    betti = json.loads(out, parse_int=str)["betti"]
+    assert betti == [nines, "1" * 4300 + "0", "1" * 4300]  # beta0 * (1, 10/9, 1/9)
+    code, out = run_cli(capsys, "pure", "--c", "2", "--p", "2", "--alpha", nines)
+    assert code == 0
+    assert json.loads(out, parse_int=str) == {
+        "type": ["0", "1" + "9" * 4299 + "8", "2" + "9" * 4299 + "7"],  # alpha * (0, 2, 3)
+        "betti": ["1", "3", "2"],
+        "alpha": nines,
+    }
+    # the limit holds again for the next input
+    path = tmp_path / "long.json"
+    path.write_text("[" + nines + "9]", encoding="utf-8")
+    code, out = run_cli(capsys, "report", str(path))
+    assert (code, json.loads(out)["error"]) == (2, "BadJSON")
 
 
 def test_pure_satisfies_the_herzog_kuehl_equations(capsys):
@@ -862,7 +899,7 @@ def test_user_path_prints_the_same_bytes_without_the_hitting_sets(monkeypatch, c
     def unreachable(*args, **kwargs):
         raise AssertionError("the user path ran the hitting-set search")
 
-    for name in ("minimal_primes", "alexander_dual", "_transversals"):
+    for name in ("minimal_primes", "alexander_dual"):
         monkeypatch.setattr(il, name, unreachable)
     if argv[0] != "macaulay":
         argv = argv[:-1] + [str(FIXTURES / f"{argv[-1]}.json")]

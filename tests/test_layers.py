@@ -7,7 +7,7 @@ The package ``__init__`` re-exports nothing, so importing ``pferrer.oracle``
 does not run the closed-form modules; ``test_oracle_imports_no_formula_module``
 also sees imports written inside function bodies.  No module loads
 ``dataclasses`` or ``inspect``, about 7 ms of every CLI start: the value
-types are NamedTuples.
+types are NamedTuples.  Only ``ideal`` builds monomials and ideals.
 """
 
 import ast
@@ -89,4 +89,21 @@ def test_no_dataclass_in_the_package():
                 target = decorator.func if isinstance(decorator, ast.Call) else decorator
                 if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
                     found.append((path.name, decorator.lineno, "decorator"))
+    assert found == []
+
+
+
+def test_only_ideal_builds_monomials():
+    # one monomial representation, owned by one module: the others get their
+    # monomials and ideals from ``ideal``'s functions
+    builders = (["Monomial"], ["MonomialIdeal"], ["Monomial", "of"], ["MonomialIdeal", "make"])
+    found = []
+    for path in sorted((SRC / "pferrer").glob("*.py")):
+        if path.name == "ideal.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                target = ast.unparse(node.func).split(".")  # il.Monomial.of: il, Monomial, of
+                if target[-1:] in builders or target[-2:] in builders:
+                    found.append((path.name, node.lineno, ".".join(target)))
     assert found == []

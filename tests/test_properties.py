@@ -7,10 +7,13 @@ K-polynomial agrees with the binomial sums and the oracle; the box
 certificate pairs each diagonal with divisors from earlier diagonals, and
 its mask walk gives the first walk's classes and witnesses up to depth 6; the
 Betti oracle's strong collapse keeps the pairwise-minimalizing reference's
-cores, and its homology is that of the complex's faces."""
+cores, and its homology is that of the complex's faces; the minimal-OR
+fold keeps the minimal ORs of one mask per group."""
 
 from collections import defaultdict
-from itertools import combinations, combinations_with_replacement
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, product
+from operator import or_
 
 import pytest
 
@@ -25,7 +28,7 @@ from pferrer.limits import Limits
 from pferrer.oracle import graded_betti_brute, hilbert_function_truncated
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 # A depth-1 draw has up to 40 variables, past the default hitting-set limit.
@@ -370,3 +373,16 @@ def test_avoidance_homology_is_the_homology_of_all_faces(system):
     vertices, sets = system
     faces = {f for f in oc._submask_faces([vertices]) if any(not f & s for s in sets)}
     assert oc._avoidance_homology(vertices, sets) == oc._homology_of_faces(faces)
+
+
+
+@settings(PROPERTY, max_examples=300, deadline=2000)
+@given(st.lists(st.lists(st.integers(0, 255), max_size=4), max_size=4))
+@example([[0, 6], [3, 5]])
+@example([[1, 2], []])
+def test_minimal_ors_are_the_minimal_ors_of_one_mask_per_group(groups):
+    # at most 4 groups of at most 4 masks on 8 bits; 0 masks and empty groups occur
+    ors = {reduce(or_, choice, 0) for choice in product(*groups)}
+    minimal = {m for m in ors if not any(o != m and o & m == o for o in ors)}
+    found = il._minimal_ors(groups)
+    assert len(found) == len(minimal) and set(found) == minimal

@@ -192,7 +192,7 @@ def _report_document(part: dg.PFerrerPartition, limits: Limits, certificate: boo
         "depth": part.depth,
         "boxes": dg.box_count(part),
         "profile": {"s": list(profile.counts), "df": profile.df, "delta": profile.delta},
-        "summary": {**summary.to_json(), "reg_ideal": reg_ideal, "reg_quotient": reg_quotient},
+        "summary": {**summary._asdict(), "reg_ideal": reg_ideal, "reg_quotient": reg_quotient},
         "betti": {str(j): b for j, b in enumerate(table.totals(), start=1)},
         **_series_block(profile, numerator),
         "generators": list(name.values()),
@@ -312,7 +312,7 @@ def _sample_masks(rng, variables, offset, width, max_degree: int) -> list[int]:
 def _check_decomposition(part, ideal, seed: int, max_degree: int) -> dict:
     if part.depth == 1:
         return {"name": "intersection_decomposition", "ok": True, "skipped": "depth 1"}
-    components = [c.ideal() for c in il.intersection_decomposition(part)]
+    components = il.intersection_decomposition(part)
     intersection = oc.intersect_monomial(*components)
     ok = intersection.generators == ideal.generators
     # one polarization over every ambient makes membership a submask test

@@ -167,6 +167,16 @@ def _antichain_ideal(gens: Iterable[Monomial], ambient: Iterable[Variable] = ())
     return MonomialIdeal(tuple(gens), tuple(sorted(support, key=variable_key)))
 
 
+def _bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _minimal_masks(masks) -> list[int]:
     """The distinct masks, by ascending popcount, that have no other as a submask."""
     kept: list[int] = []
@@ -190,14 +200,21 @@ def _minimal_ors(groups: Iterable[Sequence[int]]) -> list[int]:
     return minimal
 
 
-def _decode(masks: Iterable[int], offset: dict[Variable, int], width: dict[Variable, int],
+def _decode(masks: Iterable[int], width: dict[Variable, int],
             ambient: Sequence[Variable]) -> MonomialIdeal:
     """The ideal of pairwise non-submask ``masks`` under a ``_polarize``
-    offset and width, each block's popcount read back as its variable's
-    exponent; ``ambient`` is in canonical order."""
-    blocks = [(v, ((1 << width.get(v, 1)) - 1) << offset[v]) for v in ambient]
-    gens = (Monomial(tuple((v, e) for v, block in blocks if (e := (m & block).bit_count())))
-            for m in masks)
+    width: each ambient variable owns its block of bits in turn, and each set
+    bit adds one to its owner's exponent, so ``width={}`` reads bit i as
+    ``ambient[i]``.  ``ambient`` is in canonical order, and so are the
+    factors read off the bits in ascending order."""
+    owner = [v for v in ambient for _ in range(width.get(v, 1))]
+    gens = []
+    for m in masks:
+        exps: dict[Variable, int] = {}
+        for i in _bit_indices(m):
+            v = owner[i]
+            exps[v] = exps.get(v, 0) + 1
+        gens.append(Monomial(tuple(exps.items())))
     return _antichain_ideal(gens, ambient)
 
 
@@ -266,18 +283,6 @@ def ferrer_ideal(part: PFerrerPartition) -> MonomialIdeal:
     return MonomialIdeal(gens, tuple(v for group in groups for v in group))
 
 
-class IntersectionComponent(NamedTuple):
-    linear: tuple[Variable, ...]
-    tail: MonomialIdeal
-
-    def ideal(self) -> MonomialIdeal:
-        """The linear variables beside the tail's generators: an antichain,
-        since a decomposition's tail lies in groups below the linear ones."""
-        gens = [Monomial.of({v: 1}) for v in self.linear]
-        gens.extend(self.tail.generators)
-        return _antichain_ideal(gens)
-
-
 def _runs(children) -> list[tuple[int, int]]:
     """Maximal runs of equal consecutive children, as 0-based [start, end) pairs."""
     runs = []
@@ -294,22 +299,23 @@ def equal_runs(part: PFerrerPartition) -> tuple[tuple[int, int], ...]:
     return tuple((start + 1, end) for start, end in _runs(part.children))
 
 
-def intersection_decomposition(part: PFerrerPartition) -> tuple[IntersectionComponent, ...]:
-    """Write the diagram ideal as an intersection of linear-plus-tail components.
+def intersection_decomposition(part: PFerrerPartition) -> tuple[MonomialIdeal, ...]:
+    """Write the diagram ideal as an intersection of linear-plus-tail ideals.
 
-    Q_1 is generated by all the last-group variables, with no tail.  Then, for
-    each run of equal children from the last to the first, one component is
-    generated by x_{p,1..s}, s being the number of children before the run
-    (none for the first run), together with the ideal of the run's child.
+    Q_1 is generated by all the last-group variables.  Then, for each run of
+    equal children from the last to the first, one component is generated by
+    x_{p,1..s}, s being the number of children before the run (none for the
+    first run), together with the generators of the run's child's ideal: an
+    antichain, since the child's variables lie in groups below p.
     """
     if part.depth == 1:
         raise DepthOne("the decomposition is trivial in depth 1")
     children = part.children
-    last_group = tuple(Variable(part.depth, i) for i in range(1, len(children) + 1))
-    components = [IntersectionComponent(last_group, _antichain_ideal(()))]
+    linear = [Monomial(((Variable(part.depth, i), 1),)) for i in range(1, len(children) + 1)]
+    components = [_antichain_ideal(linear)]
     for start, _ in reversed(_runs(children)):
         components.append(
-            IntersectionComponent(last_group[:start], ferrer_ideal(children[start]))
+            _antichain_ideal([*linear[:start], *ferrer_ideal(children[start]).generators])
         )
     return tuple(components)
 
@@ -322,16 +328,6 @@ def minimal_primes(
     of ``alexander_dual``.  A diagram ideal's are read off its decomposition
     by ``ferrer_dual``; this route stays for other ideals and the tests."""
     return frozenset(frozenset(g.support) for g in alexander_dual(ideal, limits).generators)
-
-
-def _bit_indices(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, in ascending order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _diagram_primes(part: PFerrerPartition, offsets: dict[int, int]) -> set[int]:
@@ -361,13 +357,6 @@ def _diagram_primes(part: PFerrerPartition, offsets: dict[int, int]) -> set[int]
     return primes
 
 
-def _dual_ideal(masks: Iterable[int], ambient: tuple[Variable, ...]) -> MonomialIdeal:
-    """The squarefree ideal with one generator per mask, bit i standing for
-    ``ambient[i]``: the Alexander dual when the masks are the minimal primes."""
-    gens = [Monomial(tuple((ambient[i], 1) for i in _bit_indices(c))) for c in masks]
-    return _antichain_ideal(gens, ambient)
-
-
 def ferrer_dual(part: PFerrerPartition, limits: Limits = DEFAULT_LIMITS) -> MonomialIdeal:
     """The Alexander dual of the diagram ideal: one generator per minimal
     prime, read off the intersection decomposition, with no hitting-set
@@ -377,7 +366,7 @@ def ferrer_dual(part: PFerrerPartition, limits: Limits = DEFAULT_LIMITS) -> Mono
     ambient = tuple(v for group in groups for v in group)
     limits.check("hitting_set_max_variables", len(ambient))
     offsets = dict(zip(range(part.depth, 0, -1), accumulate(map(len, groups), initial=0)))
-    return _dual_ideal(_diagram_primes(part, offsets), ambient)
+    return _decode(_diagram_primes(part, offsets), {}, ambient)
 
 
 def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
@@ -395,4 +384,4 @@ def alexander_dual(ideal: MonomialIdeal, limits: Limits = DEFAULT_LIMITS) -> Mon
         raise NotSquarefree("minimal primes require a squarefree ideal")
     limits.check("hitting_set_max_variables", len(ideal.ambient))
     groups = ([1 << i for i in _bit_indices(g)] for g in sorted(set(ideal.masks())))
-    return _dual_ideal(_minimal_ors(groups), ideal.ambient)
+    return _decode(_minimal_ors(groups), {}, ideal.ambient)

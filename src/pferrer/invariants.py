@@ -122,16 +122,6 @@ class HomologicalSummary(NamedTuple):
     projdim: int
     ara: int
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "height": self.height,
-            "dim": self.dim,
-            "depth": self.depth,
-            "projdim": self.projdim,
-            "ara": self.ara,
-        }
-
 
 def homological_summary(profile: DiagonalProfile) -> HomologicalSummary:
     n, c, delta = profile.n, profile.df, profile.delta

@@ -49,6 +49,8 @@ class Limits(NamedTuple):
             data = json.loads(raw)
         except ValueError as err:  # JSONDecodeError, or a numeral past int's digit limit
             raise BadLimits(str(err)) from None
+        except RecursionError:
+            raise BadLimits(f"{ENV_VAR} nested too deeply to parse") from None
         if not isinstance(data, dict):
             raise BadLimits(f"{ENV_VAR} must be a JSON object")
         unknown = set(data) - set(cls._fields)

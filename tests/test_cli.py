@@ -418,7 +418,7 @@ def test_verify_wrong_decomposition_component_exit_3(capsys, monkeypatch):
     def wrong(part):
         # Q_1 loses its last variable
         first, *rest = decomposition(part)
-        return (first._replace(linear=first.linear[:-1]), *rest)
+        return (il.MonomialIdeal.make(first.generators[:-1]), *rest)
 
     monkeypatch.setattr(il, "intersection_decomposition", wrong)
     code, out = run_cli(capsys, "verify", str(FIXTURES / "example_4322.json"))
@@ -426,7 +426,7 @@ def test_verify_wrong_decomposition_component_exit_3(capsys, monkeypatch):
     failed = _failed_checks(out)
     assert [check["name"] for check in failed] == ["intersection_decomposition"]
     part = dg.validate(EX4322)
-    expected = reduce(lcm_intersection, [c.ideal() for c in wrong(part)])
+    expected = reduce(lcm_intersection, wrong(part))
     assert failed[0]["intersection"] == [str(g) for g in expected.generators]
     assert failed[0]["ideal"] == [str(g) for g in il.ferrer_ideal(part).generators]
 
@@ -439,7 +439,8 @@ def test_verify_membership_only_disagreement_exit_3(capsys, monkeypatch):
 
     def widened(part):
         first, *rest = decomposition(part)
-        return (first._replace(linear=first.linear + (il.Variable(1, 1),)), *rest)
+        x11 = il.Monomial.of({il.Variable(1, 1): 1})
+        return (il.MonomialIdeal.make([*first.generators, x11]), *rest)
 
     monkeypatch.setattr(il, "intersection_decomposition", widened)
     monkeypatch.setattr(oc, "intersect_monomial", lambda a, b: ideal)
@@ -459,10 +460,10 @@ def test_verify_membership_sees_exponents_exit_3(capsys, monkeypatch, seed):
     decomposition = il.intersection_decomposition
 
     def squared(part):
-        first, *rest = decomposition(part)
-        x21, x22 = first.linear
-        tail = il.MonomialIdeal((il.Monomial.of({x21: 2}),), (x21,))
-        return (first._replace(linear=(x22,), tail=tail), *rest)
+        _, *rest = decomposition(part)
+        x21, x22 = il.Variable(2, 1), il.Variable(2, 2)
+        first = il.MonomialIdeal.make([il.Monomial.of({x22: 1}), il.Monomial.of({x21: 2})])
+        return (first, *rest)
 
     monkeypatch.setattr(il, "intersection_decomposition", squared)
     monkeypatch.setattr(oc, "intersect_monomial", lambda *components: ideal)
@@ -480,7 +481,7 @@ def test_decomposition_samples_keep_the_monomial_verdicts(name):
     # polarizes them with the ideal and its components
     part = dg.validate(json.loads((FIXTURES / f"{name}.json").read_text()))
     ideal = il.ferrer_ideal(part)
-    components = [c.ideal() for c in il.intersection_decomposition(part)]
+    components = il.intersection_decomposition(part)
     ambient = set(ideal.ambient).union(*(c.ambient for c in components))
     groups = [ideal.generators, *(c.generators for c in components)]
     offset, width, masks = il._polarize(groups, ambient)
@@ -774,8 +775,13 @@ def test_limits_env_override(capsys, tmp_path, monkeypatch):
         '{"max_boxes": -1}',
         "[1]",
         '{"max_boxes": %s}' % ("9" * 4301),  # past int's default 4,300-digit limit
+        "[" * 3000 + "]" * 3000,  # past the parser's recursion limit
+        '{"max_depth": %s}' % ("[" * 3000 + "]" * 3000),
     ],
-    ids=["unknown", "removed", "string", "bool", "negative", "not-object", "long-numeral"],
+    ids=[
+        "unknown", "removed", "string", "bool", "negative", "not-object", "long-numeral",
+        "deep-list", "deep-value",
+    ],
 )
 def test_limits_env_rejects_unknown_keys(capsys, monkeypatch, raw):
     monkeypatch.setenv("FERRER_LIMITS", raw)

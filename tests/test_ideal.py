@@ -84,7 +84,7 @@ def test_ferrer_ideal_matches_make_random():
         assert dual == il.MonomialIdeal.make(dual.generators, ambient=ideal.ambient)
         if part.depth >= 2:
             for c in il.intersection_decomposition(part):
-                assert c.ideal() == il.MonomialIdeal.make(c.ideal().generators)
+                assert c == il.MonomialIdeal.make(c.generators)
 
 
 def test_masks_squarefree_bit_i_is_ambient_i():
@@ -112,19 +112,15 @@ def test_masks_unused_ambient_variable_owns_one_bit():
 def test_intersection_decomposition_square():
     components = il.intersection_decomposition(dg.validate([2, 2]))
     assert len(components) == 2
-    assert [str(v) for v in components[0].linear] == ["x2_1", "x2_2"]
-    assert components[0].tail.generators == ()
-    assert components[1].linear == ()
-    assert [str(g) for g in components[1].tail.generators] == ["x1_1", "x1_2"]
+    assert [str(g) for g in components[0].generators] == ["x2_1", "x2_2"]
+    assert [str(g) for g in components[1].generators] == ["x1_1", "x1_2"]
 
 
 def test_intersection_decomposition_staircase():
     part = dg.validate([2, 1])
     components = il.intersection_decomposition(part)
     assert len(components) == 3
-    intersection = reduce(
-        intersect_monomial, (component.ideal() for component in components)
-    )
+    intersection = reduce(intersect_monomial, components)
     assert intersection.generators == il.ferrer_ideal(part).generators
 
 
@@ -133,9 +129,7 @@ def test_intersection_decomposition_example_4322_runs():
     assert il.equal_runs(part) == ((1, 1), (2, 2), (3, 4))
     components = il.intersection_decomposition(part)
     assert len(components) == 4
-    intersection = reduce(
-        intersect_monomial, (component.ideal() for component in components)
-    )
+    intersection = reduce(intersect_monomial, components)
     assert intersection.generators == il.ferrer_ideal(part).generators
 
 
@@ -145,9 +139,7 @@ def test_intersection_decomposition_large_example():
     part = dg.validate(EX54432)
     components = il.intersection_decomposition(part)
     assert len(components) == 6  # five distinct children: five runs plus Q_1
-    intersection = reduce(
-        intersect_monomial, (component.ideal() for component in components)
-    )
+    intersection = reduce(intersect_monomial, components)
     assert intersection.generators == il.ferrer_ideal(part).generators
 
 
@@ -156,9 +148,7 @@ def test_intersection_decomposition_random():
     for _ in range(15):
         part = random_partition(rng, rng.choice([2, 3]), max_children=3, max_leaf=3)
         components = il.intersection_decomposition(part)
-        intersection = reduce(
-            intersect_monomial, (component.ideal() for component in components)
-        )
+        intersection = reduce(intersect_monomial, components)
         assert intersection.generators == il.ferrer_ideal(part).generators
 
 

@@ -21,7 +21,8 @@ def joined_degree(primes: list[int]) -> int:
     the primes being variable bitmasks in the given order.
 
     The intersection of the first i primes is generated by the minimal sets
-    of variables meeting each of them, kept by Berge's loop; adding P_{i+1}
+    of variables meeting each of them, the minimal ORs of one bit of each
+    (``ideal._minimal_ors``, one prime folded in a step); adding P_{i+1}
     leaves its variables and those generators disjoint from it.
     """
     covers = [0]
@@ -30,10 +31,7 @@ def joined_degree(primes: list[int]) -> int:
         if i:
             disjoint = [c.bit_count() for c in covers if not c & prime]
             degree = max(degree, 1, *disjoint)
-        bits = [1 << b for b in range(prime.bit_length()) if prime >> b & 1]
-        kept = [c for c in covers if c & prime]
-        grown = {c | bit for c in covers if not c & prime for bit in bits}
-        covers = kept + [c for c in grown if not any(k & c == k for k in kept)]
+        covers = il._minimal_ors([covers, [1 << b for b in il._bit_indices(prime)]])
     return degree
 
 

@@ -386,3 +386,25 @@ def test_minimal_ors_are_the_minimal_ors_of_one_mask_per_group(groups):
     minimal = {m for m in ors if not any(o != m and o & m == o for o in ors)}
     found = il._minimal_ors(groups)
     assert len(found) == len(minimal) and set(found) == minimal
+
+
+@st.composite
+def _any_ideals(draw):
+    """Ideals on at most 5 variables, squarefree or with exponents up to 3;
+    the zero ideal, the unit ideal and ambient variables that no generator
+    uses all occur."""
+    n = draw(st.integers(1, 5))
+    top = draw(st.sampled_from([1, 3]))
+    variables = [il.Variable(1 + i % 2, 1 + i // 2) for i in range(n)]
+    vectors = draw(st.lists(st.lists(st.integers(0, top), min_size=n, max_size=n), max_size=6))
+    monomials = [il.Monomial.of(dict(zip(variables, v))) for v in vectors]
+    return il.MonomialIdeal.make(monomials, ambient=variables)
+
+
+@settings(PROPERTY, max_examples=300, deadline=2000)
+@given(_any_ideals())
+@example(il.MonomialIdeal.make([], ambient=[il.Variable(1, 1)]))
+@example(il.MonomialIdeal.make([il.MONOMIAL_ONE], ambient=[il.Variable(1, 1)]))
+def test_decode_reads_the_polarized_masks_back(ideal):
+    _, width, (masks,) = il._polarize((ideal.generators,), ideal.ambient)
+    assert il._decode(masks, width, ideal.ambient) == ideal

@@ -82,10 +82,11 @@ def _dumps(obj, pad: str = "") -> str:
     ``json`` uses its C encoder only when ``indent`` is None; with an indent
     it runs a pure-Python encoder that yields every token from a generator.
     ``pad`` is the indent of the line ``obj`` starts on.  Dict keys must be
-    str.  A ``_Witnesses`` prints as its list of dicts, written by
-    ``_dumps_witnesses`` without a call per witness.  Any other scalar, a
-    float say, goes through ``json.dumps``, so a value JSON cannot hold
-    raises its TypeError.
+    str.  A container formats its ``_SCALARS`` items inline, without a
+    call of ``_dumps`` each.  A ``_Witnesses`` prints as its list of dicts,
+    written by ``_dumps_witnesses`` without a call per witness.  Any other
+    scalar, a float say, goes through ``json.dumps``, so a value JSON cannot
+    hold raises its TypeError.
     """
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
@@ -94,12 +95,16 @@ def _dumps(obj, pad: str = "") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        items = [
+            encode_basestring_ascii(k) + ": "
+            + (fmt(v) if (fmt := _SCALARS.get(type(v))) else _dumps(v, inner))
+            for k, v in obj.items()
+        ]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_dumps(v, inner) for v in obj]
+        items = [fmt(v) if (fmt := _SCALARS.get(type(v))) else _dumps(v, inner) for v in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, _Witnesses):
         return _dumps_witnesses(obj, pad)
@@ -462,6 +467,7 @@ def cmd_pure(args, limits: Limits) -> int:
         raise BadFlags("need --a1/--a2/--beta0 or --c/--p/--alpha")
     if min(args.c, args.p, args.alpha) < 1:
         raise BadFlags("--c, --p and --alpha must be positive")
+    limits.check("pure_max_length", args.p)
     # c-linear of length p: betti_cm takes the codimension first, the degree second
     base_type = tuple([0] + [args.c + i for i in range(args.p)])
     base_betti = tuple(iv.betti_cm(args.p, args.c, j) for j in range(args.p + 1))

@@ -10,6 +10,7 @@ downward closed in (N*)^p.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -57,6 +58,8 @@ class PFerrerPartition(NamedTuple):
         """Nested int/list form matching the JSON input format."""
         if self.is_leaf:
             return self.value
+        if self.depth == 2:
+            return [child.value for child in self.children]
         return [child.to_tree() for child in self.children]
 
     def __str__(self):
@@ -239,21 +242,32 @@ def _full(p: int, c: int) -> PFerrerPartition:
 
 
 def partition_from_boxes(box_set, depth: int) -> PFerrerPartition:
-    """Rebuild the partition tree of a nonempty downward-closed box set."""
-    box_set = set(box_set)
-    if not box_set:
+    """Rebuild the partition tree of a nonempty downward-closed box set.
+
+    The boxes' reversed coordinates are sorted once, so every node of the
+    tree is a range of that list (see ``_subtree``)."""
+    rows = sorted(box[::-1] for box in box_set)
+    if not rows:
         raise ValueError("empty box set")
-    if depth == 1:
-        return PFerrerPartition.leaf(max(b[0] for b in box_set))
-    slices: dict[int, set[Box]] = {}
-    for box in box_set:
-        slices.setdefault(box[-1], set()).add(box[:-1])
-    m = max(slices)
-    if sorted(slices) != list(range(1, m + 1)):
-        raise ValueError("box set is not downward closed in the last coordinate")
-    return PFerrerPartition.node(
-        partition_from_boxes(slices[i], depth - 1) for i in range(1, m + 1)
-    )
+    return _subtree(rows, 0, len(rows), 0, depth)
+
+
+def _subtree(rows: list[Box], start: int, end: int, k: int, depth: int) -> PFerrerPartition:
+    """The node of ``rows[start:end]``, sorted reversed boxes that agree on
+    their first k entries: its children are the runs of equal entry k, which
+    must be 1, 2, ..., each run ending where bisection finds the next value."""
+    if k == depth - 1:
+        return PFerrerPartition.leaf(rows[end - 1][k])
+    prefix = rows[start][:k]
+    children = []
+    while start < end:
+        head = rows[start][k]
+        if head != len(children) + 1:
+            raise ValueError("box set is not downward closed in the last coordinate")
+        stop = bisect_left(rows, prefix + (head + 1,), start, end)
+        children.append(_subtree(rows, start, stop, k + 1, depth))
+        start = stop
+    return PFerrerPartition.node(children)
 
 
 def remove_last_diagonal_box(part: PFerrerPartition) -> tuple[PFerrerPartition, Box]:

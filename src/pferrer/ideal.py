@@ -21,7 +21,7 @@ class Variable(NamedTuple):
     index: int
 
     def __str__(self):
-        return f"x{self.group}_{self.index}"
+        return "x%d_%d" % self
 
 
 def variable_key(v: Variable) -> tuple[int, int]:
@@ -73,7 +73,9 @@ class Monomial(NamedTuple):
     def __str__(self):
         if not self.factors:
             return "1"
-        return "*".join(f"{v}" if e == 1 else f"{v}^{e}" for v, e in self.factors)
+        return "*".join(
+            ["x%d_%d" % v if e == 1 else "x%d_%d^%d" % (*v, e) for v, e in self.factors]
+        )
 
 
 MONOMIAL_ONE = Monomial(())
@@ -153,7 +155,7 @@ def _polarize(
         offset[v] = bit
         bit += width.get(v, 1)
     return offset, width, [
-        tuple(sum(((1 << e) - 1) << offset[v] for v, e in g.factors) for g in group)
+        tuple([sum([((1 << e) - 1) << offset[v] for v, e in g.factors]) for g in group])
         for group in groups
     ]
 
@@ -203,19 +205,25 @@ def _minimal_ors(groups: Iterable[Sequence[int]]) -> list[int]:
 def _decode(masks: Iterable[int], width: dict[Variable, int],
             ambient: Sequence[Variable]) -> MonomialIdeal:
     """The ideal of pairwise non-submask ``masks`` under a ``_polarize``
-    width: each ambient variable owns its block of bits in turn, and each set
-    bit adds one to its owner's exponent, so ``width={}`` reads bit i as
-    ``ambient[i]``.  ``ambient`` is in canonical order, and so are the
-    factors read off the bits in ascending order."""
-    owner = [v for v in ambient for _ in range(width.get(v, 1))]
-    gens = []
-    for m in masks:
-        exps: dict[Variable, int] = {}
-        for i in _bit_indices(m):
-            v = owner[i]
-            exps[v] = exps.get(v, 0) + 1
-        gens.append(Monomial(tuple(exps.items())))
-    return _antichain_ideal(gens, ambient)
+    width, each ambient variable owning its block of bits in turn, so
+    ``width={}`` reads bit i as ``ambient[i]``.
+
+    Bit i stands for the factor (owner, rank of i in its block, from 1),
+    and a mask's factors are its top set bit in each block: the set bits
+    whose next bit is unset or in another block, ``m & ~(inner & m >> 1)``
+    with ``inner`` marking the bits whose next bit is in the same block.
+    ``ambient`` must be in canonical order; then ascending bits are
+    ascending factors, and sorting the masks' rows of bits as int lists
+    sorts their monomials by ``monomial_key``."""
+    factor: list[tuple[Variable, int]] = []
+    inner = 0
+    for v in ambient:
+        w = width.get(v, 1)
+        inner |= ((1 << (w - 1)) - 1) << len(factor)
+        factor.extend([(v, e) for e in range(1, w + 1)])
+    rows = sorted([_bit_indices(m & ~(inner & m >> 1)) for m in masks])
+    gens = tuple([Monomial(tuple([factor[i] for i in row])) for row in rows])
+    return MonomialIdeal(gens, tuple(ambient))
 
 
 class GradedBettiTable(NamedTuple):

@@ -20,6 +20,7 @@ BOUNDS = {
     "hitting_set_max_variables": (SizeLimitExceeded, "{} variables exceed hitting-set limit {}"),
     "series_recursion_max_generators": (TooManyGenerators, "{} generators exceed limit {}"),
     "truncation_max_degree": (SizeLimitExceeded, "degree {} exceeds truncation limit {}"),
+    "pure_max_length": (SizeLimitExceeded, "length {} exceeds pure limit {}"),
 }
 
 
@@ -31,6 +32,7 @@ class Limits(NamedTuple):
     hitting_set_max_variables: int = 30
     series_recursion_max_generators: int = 512
     truncation_max_degree: int = 20
+    pure_max_length: int = 1_000
 
     def check(self, name: str, value: int) -> None:
         """Raise the error ``BOUNDS`` gives ``name`` when ``value`` exceeds that limit."""

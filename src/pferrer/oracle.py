@@ -22,8 +22,8 @@ counts zero without recursing, and each interval of exponents over which
 the set is constant adds one sub-vector as a running sum.  Intersections of
 monomial ideals polarize all of them jointly, once, and fold minimal ORs of
 masks with ``ideal``'s fold, which also finds ``alexander_dual``'s hitting
-sets, and ``ideal``'s one decoder adds each set bit to its variable's
-exponent: this module builds no monomial.  Nothing here knows about
+sets, and ``ideal``'s one decoder reads each block's top set bit as its
+variable's exponent: this module builds no monomial.  Nothing here knows about
 diagrams or closed formulas, so agreement with the formula modules is a
 genuine two-route check; the Betti table type both routes return,
 ``GradedBettiTable``, lives in ``ideal``.
@@ -360,7 +360,8 @@ def intersect_monomial(first: MonomialIdeal, *rest: MonomialIdeal) -> MonomialId
 
     All the ideals are polarized together once (``_polarize``), so an lcm is
     an OR of masks; ``_minimal_ors`` folds them, from the unit ideal's mask
-    0, and ``_decode`` adds each set bit to its variable's exponent, once.
+    0, and ``_decode`` reads each block's top set bit as its variable's
+    exponent.
     Exact for any monomial ideals, squarefree or not.
     """
     ideals = (first, *rest)

@@ -287,9 +287,14 @@ def _numerator_splitting(gens: frozenset[int]) -> tuple[int, ...]:
             _add_into(out, [-c for c in rest], shift + 1)
             shift += 1
             reduced = [g ^ pivot for g in gens if g & pivot]
-            gens = frozenset(
-                reduced + [h for h in without if not any(r & h == r for r in reduced)]
-            )
+            kept = []
+            for h in without:
+                for r in reduced:
+                    if r & h == r:
+                        break
+                else:
+                    kept.append(h)
+            gens = frozenset(reduced + kept)
     else:
         if not gens:  # else a zero mask is left: the unit ideal, whose K is 0
             _add_into(out, (1,), shift)
@@ -299,14 +304,27 @@ def _numerator_splitting(gens: frozenset[int]) -> tuple[int, ...]:
 
 
 def _most_frequent_bit(gens: frozenset[int]) -> int:
-    """The bit set in the most generators; the highest such bit on ties."""
-    counts: dict[int, int] = {}
-    for g in gens:
-        while g:
-            low = g & -g
-            counts[low] = counts.get(low, 0) + 1
-            g ^= low
-    return max(counts, key=lambda b: (counts[b], b))
+    """The bit set in the most generators; the highest such bit on ties.
+
+    The counts are bit-sliced: bit b of ``counters[k]`` is bit k of the
+    count of bit b, and each generator is added to all counts at once with
+    a ripple carry.  From the highest counter down, the bits that have the
+    counter's bit set, if any do, survive; the survivors share the largest
+    count."""
+    counters: list[int] = []
+    for carry in gens:
+        for k, counter in enumerate(counters):
+            counters[k] = counter ^ carry
+            carry &= counter
+            if not carry:
+                break
+        else:
+            counters.append(carry)
+    survivors = -1
+    for counter in reversed(counters):
+        if survivors & counter:
+            survivors &= counter
+    return 1 << (survivors.bit_length() - 1)
 
 
 def extract_s_vector(series: RationalSeries, c: int, p: int) -> tuple[int, ...]:

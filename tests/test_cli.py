@@ -736,6 +736,18 @@ def test_pure_matches_the_oracle(capsys, c, p, alpha):
     assert code == 0 and oc.graded_betti_brute(powered).entries == expected
 
 
+def test_pure_length_past_its_limit_exits_4(capsys):
+    # the default pure_max_length is 1,000 Betti numbers after beta_0
+    code, out = run_cli(capsys, "pure", "--c", "10", "--p", "1001", "--alpha", "1")
+    assert code == 4
+    assert json.loads(out) == {
+        "error": "SizeLimitExceeded",
+        "message": "length 1001 exceeds pure limit 1000",
+    }
+    code, out = run_cli(capsys, "pure", "--c", "1", "--p", "1000", "--alpha", "1")
+    assert code == 0 and len(json.loads(out)["betti"]) == 1001
+
+
 def test_pure_infeasible_exit_6(capsys):
     code, out = run_cli(capsys, "pure", "--a1", "2", "--a2", "5", "--beta0", "1")
     assert code == 6

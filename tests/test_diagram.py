@@ -10,6 +10,7 @@ import pytest
 from helpers import EX4322, random_partition
 import pferrer
 from pferrer import diagram as dg
+from pferrer import macaulay as mc
 from pferrer.errors import (
     DepthMismatch,
     NonPositiveLeaf,
@@ -306,10 +307,34 @@ def test_remove_iterates_to_single_box():
 
 def test_partition_from_boxes_roundtrip():
     rng = random.Random(29)
-    for _ in range(20):
-        part = random_partition(rng, rng.choice([1, 2, 3]))
-        rebuilt = dg.partition_from_boxes(dg.boxes(part), part.depth)
-        assert rebuilt == part
+    depths = set()
+    for _ in range(40):
+        part = random_partition(rng, rng.randint(1, 6), max_children=3, max_leaf=3)
+        depths.add(part.depth)
+        shuffled = list(dg.boxes(part))
+        rng.shuffle(shuffled)
+        assert dg.partition_from_boxes(shuffled, part.depth) == part
+    assert depths == set(range(1, 7))
+
+
+def test_partition_from_boxes_rebuilds_a_realized_diagram():
+    # macaulay rebuilds a diagram of depth h_1 from a set of boxes
+    mvector = mc.multicomplex_from_mvector((1, 9, 5))
+    part = mc.diagram_from_multicomplex(mvector)
+    assert part.depth == 9 and dg.box_count(part) == 15
+    assert dg.partition_from_boxes(set(dg.boxes(part)), 9) == part
+    assert set(dg.boxes(part)) == {tuple(e + 1 for e in m) for m in mvector.monomials}
+
+
+@pytest.mark.parametrize(
+    "box_set, message",
+    [(set(), "empty box set"),
+     ({(1, 1), (1, 3)}, "box set is not downward closed in the last coordinate")],
+)
+def test_partition_from_boxes_rejects(box_set, message):
+    with pytest.raises(ValueError) as caught:
+        dg.partition_from_boxes(box_set, 2)
+    assert str(caught.value) == message
 
 
 def test_every_lru_cache_in_the_package_is_bounded():

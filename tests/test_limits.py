@@ -16,6 +16,7 @@ from helpers import FIXTURES
 from pferrer import cli
 from pferrer import diagram as dg
 from pferrer import ideal as il
+from pferrer import invariants as iv
 from pferrer import macaulay as mc
 from pferrer import oracle as oc
 from pferrer import series as sr
@@ -28,11 +29,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pferrer"
 STAIRCASE = il.ferrer_ideal(dg.validate([2, 1]))
 
 
-def verify(max_degree):
-    args = cli.PARSER.parse_args(
-        ["verify", "--max-degree", str(max_degree), str(FIXTURES / "staircase_22.json")]
-    )
+def command(*argv):
+    args = cli.PARSER.parse_args(argv)
     return lambda limits: args.handler(args, limits)
+
+
+def verify(max_degree):
+    return command("verify", "--max-degree", str(max_degree), str(FIXTURES / "staircase_22.json"))
 
 
 # (site, call on a Limits, field, value the call checks, error, message,
@@ -78,6 +81,9 @@ SITES = [
     ("verify-max-degree", verify(4),
      "truncation_max_degree", 4, SizeLimitExceeded,
      "degree 4 exceeds truncation limit 3", (cli, "_load_diagram")),
+    ("pure-length", command("pure", "--c", "3", "--p", "4", "--alpha", "1"),
+     "pure_max_length", 4, SizeLimitExceeded,
+     "length 4 exceeds pure limit 3", (iv, "betti_cm")),
 ]
 
 

@@ -8,16 +8,20 @@ certificate pairs each diagonal with divisors from earlier diagonals, and
 its mask walk gives the first walk's classes and witnesses up to depth 6; the
 Betti oracle's strong collapse keeps the pairwise-minimalizing reference's
 cores, and its homology is that of the complex's faces; the minimal-OR
-fold keeps the minimal ORs of one mask per group."""
+fold keeps the minimal ORs of one mask per group; the decoder reads the
+polarized masks back in any order, and the masked intersection is the
+minimalized pairwise lcms; a monomial prints as the f-string join, and the
+bit-sliced pivot is the most frequent bit counted one by one."""
 
-from collections import defaultdict
+import random
+from collections import Counter, defaultdict
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 from operator import or_
 
 import pytest
 
-from helpers import betti_table_of
+from helpers import betti_table_of, lcm_intersection
 from pferrer import diagram as dg
 from pferrer import ideal as il
 from pferrer import invariants as iv
@@ -402,9 +406,60 @@ def _any_ideals(draw):
 
 
 @settings(PROPERTY, max_examples=300, deadline=2000)
-@given(_any_ideals())
-@example(il.MonomialIdeal.make([], ambient=[il.Variable(1, 1)]))
-@example(il.MonomialIdeal.make([il.MONOMIAL_ONE], ambient=[il.Variable(1, 1)]))
-def test_decode_reads_the_polarized_masks_back(ideal):
+@given(_any_ideals(), st.randoms(use_true_random=False))
+@example(il.MonomialIdeal.make([], ambient=[il.Variable(1, 1)]), random.Random(0))
+@example(il.MonomialIdeal.make([il.MONOMIAL_ONE], ambient=[il.Variable(1, 1)]), random.Random(0))
+@example(
+    il.MonomialIdeal.make(
+        [il.Monomial.of({il.Variable(2, 1): 3, il.Variable(1, 1): 1}),
+         il.Monomial.of({il.Variable(2, 1): 1, il.Variable(1, 1): 2}),
+         il.Monomial.of({il.Variable(1, 2): 2})],
+        ambient=[il.Variable(1, 1), il.Variable(1, 2), il.Variable(2, 1)],
+    ),
+    random.Random(0),
+)
+def test_decode_reads_the_polarized_masks_back(ideal, rng):
+    # widths above 1 come from the non-squarefree draws, and the decoder
+    # sorts: the masks are also decoded in a seeded order
     _, width, (masks,) = il._polarize((ideal.generators,), ideal.ambient)
     assert il._decode(masks, width, ideal.ambient) == ideal
+    shuffled = list(masks)
+    rng.shuffle(shuffled)
+    assert il._decode(shuffled, width, ideal.ambient) == ideal
+
+
+@settings(PROPERTY, max_examples=200, deadline=2000)
+@given(_any_ideals(), _any_ideals())
+def test_masked_intersection_is_the_minimal_pairwise_lcms(a, b):
+    # the reference takes lcms of monomials and minimalizes them; it builds no mask
+    assert oc.intersect_monomial(a, b) == lcm_intersection(a, b)
+
+
+def _reference_str(m):
+    """A monomial's printed form as an f-string join of its factors."""
+    if not m.factors:
+        return "1"
+    return "*".join(
+        f"x{v.group}_{v.index}" if e == 1 else f"x{v.group}_{v.index}^{e}" for v, e in m.factors
+    )
+
+
+@settings(PROPERTY, deadline=2000)
+@given(st.dictionaries(
+    st.builds(il.Variable, st.integers(1, 99), st.integers(1, 99)), st.integers(1, 3), max_size=8
+))
+@example({})  # MONOMIAL_ONE
+def test_monomial_prints_as_the_f_string_join(exponents):
+    m = il.Monomial.of(exponents)
+    assert str(m) == _reference_str(m)
+    assert [str(v) for v in m.support] == [f"x{v.group}_{v.index}" for v in m.support]
+
+
+@settings(PROPERTY, deadline=2000)
+@given(st.integers(1, 40).flatmap(
+    lambda bits: st.frozensets(st.integers(1, (1 << bits) - 1), min_size=1, max_size=80)
+))
+def test_most_frequent_bit_matches_a_counter(gens):
+    counts = Counter(b for g in gens for b in range(40) if g >> b & 1)
+    top = max(counts.values())
+    assert sr._most_frequent_bit(gens) == 1 << max(b for b in counts if counts[b] == top)
